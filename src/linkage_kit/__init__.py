@@ -13,7 +13,6 @@ Python twin with identical semantics is selected automatically otherwise
 from ._kernel import IMPLEMENTATION as kernel_implementation
 from .errors import (
     ContextMismatch,
-    GroupTooLarge,
     IndexOutOfRange,
     InvalidCartan,
     LinkageKitError,
@@ -37,11 +36,8 @@ from .parabolic import ParabolicSubset, central_class_key, equal_on_center, in_l
 from .rootsys import (
     CartanSpec,
     RootSystem,
-    WeylElement,
     build_root_system,
     positive_root_count,
-    weyl_apply,
-    weyl_generate,
 )
 from .weights_chars import (
     CONVENTIONS,
@@ -66,7 +62,6 @@ __all__ = [
     "DEFAULT_ORBIT_GUARD",
     "EmbeddingContext",
     "GlobalRoot",
-    "GroupTooLarge",
     "IndexOutOfRange",
     "InvalidCartan",
     "LinkageChain",
@@ -81,7 +76,6 @@ __all__ = [
     "RankMismatch",
     "RootSystem",
     "WeightL",
-    "WeylElement",
     "build_root_system",
     "central_class_key",
     "dot_action",
@@ -102,6 +96,4 @@ __all__ = [
     "up_link_candidates",
     "verma_factor_candidates",
     "verma_factors_borel",
-    "weyl_apply",
-    "weyl_generate",
 ]

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .errors import (
     ContextMismatch,
-    GroupTooLarge,
     IndexOutOfRange,
     InvalidCartan,
     LinkageKitError,
@@ -144,10 +143,12 @@ def jobspec_from_dict(data: dict) -> JobSpec:
     if isinstance(root, str):
         root_system: str | tuple = root
     elif isinstance(root, (list, tuple)):
-        try:
-            root_system = tuple(tuple(int(v) for v in row) for row in root)
-        except (TypeError, ValueError):
-            raise ValidationError("root_system", "matrix entries must be integers") from None
+        _expect(
+            all(isinstance(row, (list, tuple)) and all(type(v) is int for v in row) for row in root),
+            "root_system",
+            "matrix entries must be integers",
+        )
+        root_system = tuple(tuple(row) for row in root)
     else:
         raise ValidationError("root_system", "expected a type name or an integer matrix")
 
@@ -515,7 +516,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(render_json(_error_document("validation", str(exc))), file=sys.stderr)
         return EXIT_VALIDATION
-    except (OrbitGuardExceeded, GroupTooLarge) as exc:
+    except OrbitGuardExceeded as exc:
         print(render_json(_error_document("guard", str(exc))), file=sys.stderr)
         return EXIT_GUARD
 

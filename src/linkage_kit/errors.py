@@ -17,10 +17,6 @@ class IndexOutOfRange(LinkageKitError):
     """A root or coordinate index is outside its valid range."""
 
 
-class GroupTooLarge(LinkageKitError):
-    """Weyl group order exceeds the caller's size guard."""
-
-
 class ContextMismatch(LinkageKitError):
     """Operands belong to different embedding contexts."""
 
@@ -30,7 +26,7 @@ class NotIntegral(LinkageKitError):
 
 
 class OrbitGuardExceeded(LinkageKitError):
-    """The linkage search visited more states than the configured cap."""
+    """A linkage search or dot orbit grew past the configured cap."""
 
 
 class NotParabolicDominant(LinkageKitError):

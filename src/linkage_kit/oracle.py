@@ -1,21 +1,24 @@
-"""Brute-force reference implementations used to validate the linkage
-search.
+"""Reference sets used to validate the linkage search.
 
 linkage_by_chains enumerates every gated reflection sequence literally
 (no deduplication of states), which is exponentially slower than the
 production BFS and shares nothing with it beyond the weight/reflection
 primitives; agreement of the two is the package's main self-check and is
 exposed behind the CLI's --oracle flag.
+
+dot_orbit is the ungated container of every linkage closure: the orbit of
+a weight under the dot action of the Weyl group, found by closing under
+the simple reflections without enumerating the group itself.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import _kernel
-from .errors import GroupTooLarge
-from .rootsys import root_tables, weyl_apply, weyl_generate
+from .errors import OrbitGuardExceeded
+from .linkage import DEFAULT_ORBIT_GUARD
+from .rootsys import root_tables
 from .weights_chars import (
     LocAnChar,
     WeightL,
@@ -23,8 +26,6 @@ from .weights_chars import (
     from_integer_encoding,
     integer_encoding,
 )
-
-DEFAULT_GROUP_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -84,25 +85,46 @@ def stabilized_chain_set(
     raise RuntimeError(f"chain enumeration did not stabilize within depth {max_depth}")
 
 
-def dot_orbit(lam: WeightL, *, size_guard: int = DEFAULT_GROUP_GUARD) -> frozenset[WeightL]:
-    """Full dot orbit of a weight: per embedding, apply every Weyl element
-    to the shifted component, then take the product across embeddings."""
+def dot_orbit(lam: WeightL, *, size_guard: int = DEFAULT_ORBIT_GUARD) -> frozenset[WeightL]:
+    """Full dot orbit of a weight, as the product of per-embedding orbits.
+
+    Each embedding's block is encoded as scaled integers (denominator D)
+    and shifted by rho, which is D in every coordinate; there the dot
+    action of s_i is linear and subtracts m_i times column i of the
+    Cartan matrix, so a breadth-first closure under the simple
+    reflections visits exactly the orbit.  Central blocks ride along
+    unchanged.  Raises OrbitGuardExceeded as soon as one embedding's
+    orbit or the running product exceeds ``size_guard``.
+    """
     ctx = lam.context
-    elements = weyl_generate(ctx.base, size_guard)
-    if len(elements) ** ctx.num_embeddings > size_guard:
-        raise GroupTooLarge(
-            f"orbit product size {len(elements)}^{ctx.num_embeddings} exceeds guard {size_guard}"
-        )
-    rho = ctx.base.rho
-    per_embedding = []
-    for sigma in range(ctx.num_embeddings):
-        comp = lam.semisimple(sigma)
-        shifted = tuple(a + b for a, b in zip(comp, rho))
-        seen = set()
-        for w in elements:
-            moved = weyl_apply(ctx.base, w, shifted)
-            seen.add(tuple(a - b for a, b in zip(moved, rho)) + lam.central(sigma))
-        per_embedding.append(sorted(seen))
-    return frozenset(
-        WeightL(ctx, rows) for rows in itertools.product(*per_embedding)
-    )
+    rank = ctx.rank
+    cartan = ctx.base.cartan
+    columns = [tuple(cartan[j][i] for j in range(rank)) for i in range(rank)]
+    dens, flat = integer_encoding(lam)
+    centrals = tuple(lam.central(s) for s in range(ctx.num_embeddings))
+    product: list[tuple[int, ...]] = [()]
+    for sigma, d in enumerate(dens):
+        start = tuple(x + d for x in flat[sigma * rank : (sigma + 1) * rank])
+        seen = {start}
+        orbit = [start]
+        for m in orbit:  # grows while it is walked: breadth-first
+            for i in range(rank):
+                mi = m[i]
+                if mi == 0:
+                    continue  # s_i fixes m
+                nxt = tuple(a - mi * c for a, c in zip(m, columns[i]))
+                if nxt not in seen:
+                    if len(seen) >= size_guard:
+                        raise OrbitGuardExceeded(
+                            f"dot orbit of embedding {sigma} exceeds size guard {size_guard}"
+                        )
+                    seen.add(nxt)
+                    orbit.append(nxt)
+        if len(product) * len(orbit) > size_guard:
+            raise OrbitGuardExceeded(
+                f"dot orbit product over embeddings 0..{sigma} "
+                f"({len(product)} x {len(orbit)}) exceeds size guard {size_guard}"
+            )
+        block = [tuple(x - d for x in m) for m in orbit]
+        product = [p + b for p in product for b in block]
+    return frozenset(from_integer_encoding(ctx, dens, st, centrals) for st in product)

@@ -1,4 +1,4 @@
-"""Finite-type root systems: Cartan data, positive roots, coroots, Weyl group.
+"""Finite-type root systems: Cartan data, positive roots, coroots, simple reflections.
 
 Weights live in fundamental-weight coordinates throughout the package:
 coordinate i of a weight is its pairing with the i-th simple coroot.  In
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import GroupTooLarge, IndexOutOfRange, InvalidCartan, RankMismatch
+from .errors import IndexOutOfRange, InvalidCartan, RankMismatch
 
 IntMatrix = tuple[tuple[int, ...], ...]
 RationalVector = tuple[Fraction, ...]
@@ -218,37 +218,6 @@ class CartanSpec:
 
 
 @dataclass(frozen=True)
-class WeylElement:
-    """Group element stored as a word in simple reflections plus its
-    canonical form: the induced signed permutation of the positive roots.
-
-    ``perm[p] = s * (q + 1)`` means the element maps positive root p to
-    s times positive root q.  Elements compare equal exactly when their
-    canonical forms agree; the word is kept only as a witness.
-    """
-
-    word: tuple[int, ...]
-    perm: tuple[int, ...]
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.perm == other.perm
-
-    def __hash__(self):
-        return hash(self.perm)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(self.perm[p] == p + 1 for p in range(len(self.perm)))
-
-    @property
-    def length(self) -> int:
-        """Coxeter length: the number of positive roots sent negative."""
-        return sum(1 for v in self.perm if v < 0)
-
-
-@dataclass(frozen=True)
 class RootSystem:
     """Immutable root-system data produced by :func:`build_root_system`.
 
@@ -264,7 +233,6 @@ class RootSystem:
     root_fund: tuple[tuple[int, ...], ...]
     coroot_heights: tuple[int, ...]
     rho: RationalVector
-    simple_perms: tuple[tuple[int, ...], ...]
     name: str | None = None
 
     @property
@@ -343,22 +311,6 @@ def build_root_system(spec: CartanSpec | str | Sequence[Sequence[int]]) -> RootS
     heights = tuple(sum(k) for k in coroots)
     rho = tuple(Fraction(1) for _ in range(rank))
 
-    index_of = {c: p for p, c in enumerate(positive)}
-    simple_perms = []
-    for i in range(rank):
-        perm = []
-        for p, c in enumerate(positive):
-            pair = sum(matrix[i][j] * c[j] for j in range(rank))
-            c2 = list(c)
-            c2[i] -= pair
-            c2 = tuple(c2)
-            if all(x <= 0 for x in c2):
-                neg = tuple(-x for x in c2)
-                perm.append(-(index_of[neg] + 1))
-            else:
-                perm.append(index_of[c2] + 1)
-        simple_perms.append(tuple(perm))
-
     return RootSystem(
         cartan=matrix,
         positive_roots=positive,
@@ -366,57 +318,8 @@ def build_root_system(spec: CartanSpec | str | Sequence[Sequence[int]]) -> RootS
         root_fund=root_fund,
         coroot_heights=heights,
         rho=rho,
-        simple_perms=tuple(simple_perms),
         name=name,
     )
-
-
-def weyl_identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(word=(), perm=tuple(range(1, rs.num_positive + 1)))
-
-
-def weyl_mul_simple(rs: RootSystem, w: WeylElement, i: int) -> WeylElement:
-    """Right multiplication w * s_i, composing canonical forms."""
-    if not 0 <= i < rs.rank:
-        raise IndexOutOfRange(f"simple index {i} out of range")
-    s = rs.simple_perms[i]
-    perm = []
-    for p in range(rs.num_positive):
-        v = s[p]
-        sign = 1 if v > 0 else -1
-        t = w.perm[abs(v) - 1]
-        perm.append(sign * t)
-    return WeylElement(word=w.word + (i,), perm=tuple(perm))
-
-
-def weyl_apply(rs: RootSystem, w: WeylElement, weight: Sequence[Fraction]) -> RationalVector:
-    """Linear action of w on a weight; the rightmost letter acts first."""
-    v = tuple(Fraction(x) for x in weight)
-    for i in reversed(w.word):
-        v = rs.simple_reflection(i, v)
-    return v
-
-
-def weyl_generate(rs: RootSystem, size_guard: int) -> tuple[WeylElement, ...]:
-    """Enumerate the full Weyl group by breadth-first search.
-
-    Raises GroupTooLarge as soon as more than ``size_guard`` distinct
-    elements have been found, signalling that orbit-local methods should
-    be used instead.
-    """
-    identity = weyl_identity(rs)
-    seen = {identity.perm: identity}
-    queue = deque([identity])
-    while queue:
-        w = queue.popleft()
-        for i in range(rs.rank):
-            nxt = weyl_mul_simple(rs, w, i)
-            if nxt.perm not in seen:
-                if len(seen) >= size_guard:
-                    raise GroupTooLarge(f"Weyl group exceeds size guard {size_guard}")
-                seen[nxt.perm] = nxt
-                queue.append(nxt)
-    return tuple(seen.values())
 
 
 def root_tables(rs: RootSystem):

@@ -241,3 +241,49 @@ def test_cli_table_format():
     p = _run_cli(["--root-system", "A_1", "--weight", "3", "--command", "factors", "--format", "table"])
     assert p.returncode == 0
     assert "coords" in p.stdout and "-5/1" in p.stdout
+
+
+@pytest.mark.parametrize(
+    "matrix", ["[[2.7,-1],[-1,2]]", "[[true,-1],[-1,2]]", '[["2",-1],[-1,2]]']
+)
+@pytest.mark.parametrize("source", ["flag", "job_file"])
+def test_matrix_entries_must_be_json_integers(matrix, source, tmp_path, capsys):
+    if source == "flag":
+        argv = ["--root-system", matrix, "--weight", "0,0", "--command", "linkset"]
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "root_system": json.loads(matrix),
+                    "character": {"coords": [["0", "0"]]},
+                    "command": "linkset",
+                }
+            )
+        )
+        argv = ["--job", str(path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error == {
+        "code": "validation",
+        "field": "root_system",
+        "message": "matrix entries must be integers",
+    }
+
+
+def test_orbit_guard_bounds_the_orbit(monkeypatch, capsys):
+    monkeypatch.setenv("LINKAGE_ORBIT_GUARD", "50")
+    # -rho is fixed by the whole group (|W(A_4)| = 120 > 50): one member
+    argv = ["--root-system", "A_4", "--weight=-1,-1,-1,-1", "--command", "orbit"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["count"] == 1
+    assert doc["result"]["members"] == [{"coords": [["-1/1"] * 4]}]
+
+    monkeypatch.setenv("LINKAGE_ORBIT_GUARD", "5")
+    assert cli.main(["--root-system", "A_2", "--weight", "0,0", "--command", "orbit"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "guard"

@@ -88,8 +88,34 @@ def test_dot_orbit_product_over_embeddings():
 
 def test_dot_orbit_guard():
     ctx = context("A_2", embeddings=2)
-    with pytest.raises(lk.GroupTooLarge):
-        lk.dot_orbit(weight(ctx, [(0, 0), (0, 0)]), size_guard=30)  # 6^2 > 30
+    lam = weight(ctx, [(0, 0), (0, 0)])
+    with pytest.raises(lk.OrbitGuardExceeded):
+        lk.dot_orbit(lam, size_guard=30)  # 6^2 > 30
+    # the guard bounds the orbit itself, so a guard equal to its size passes
+    assert len(lk.dot_orbit(lam, size_guard=36)) == 36
+
+
+@pytest.mark.parametrize(
+    "name,embeddings,central",
+    [("A_1", 2, 1), ("A_2", 1, 0), ("B_2", 1, 1), ("G_2", 1, 0), ("A_2xA_1", 1, 0)],
+)
+def test_dot_orbit_certificate(name, embeddings, central):
+    # checked with the Fraction-level dot_reflect only: the orbit holds the
+    # weight and is closed under the dot reflection at every global root
+    ctx = context(name, embeddings=embeddings, central=central)
+    roots = ctx.global_roots()
+    values = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(-2, 3))
+    for coords in itertools.product(values, repeat=ctx.rank * embeddings):
+        rows = [
+            coords[s * ctx.rank : (s + 1) * ctx.rank] + (Fraction(s + 1, 3),) * central
+            for s in range(embeddings)
+        ]
+        lam = weight(ctx, rows)
+        orbit = lk.dot_orbit(lam)
+        assert lam in orbit
+        for mu in orbit:
+            for r in roots:
+                assert lk.dot_reflect(mu, r) in orbit
 
 
 def test_nonintegral_chain_is_singleton():

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 import linkage_kit as lk
-from linkage_kit.rootsys import weyl_identity, weyl_mul_simple
-from util import root_system
+from util import context, root_system, simple_perms, weight
 
 # Closed-form positive-root counts, written out independently of the library:
 # A_n: n(n+1)/2, B_n/C_n: n^2, D_n: n(n-1), E_6/7/8: 36/63/120, F_4: 24, G_2: 6.
@@ -164,39 +163,10 @@ def test_pairing_errors():
 
 @pytest.mark.parametrize("name,order", ORDERS)
 def test_weyl_generate_orders(name, order):
-    rs = root_system(name)
-    elements = lk.weyl_generate(rs, order + 10)
-    assert len(elements) == order
-    assert len(set(elements)) == order
-
-
-def test_weyl_generate_guard():
-    with pytest.raises(lk.GroupTooLarge):
-        lk.weyl_generate(root_system("A_1"), 1)
-    assert len(lk.weyl_generate(root_system("A_1"), 2)) == 2
-
-
-def test_weyl_identity_and_equality():
-    rs = root_system("A_2")
-    e = weyl_identity(rs)
-    assert e.is_identity and e.length == 0
-    # braid words define the same element with different witnesses
-    w1 = weyl_mul_simple(rs, weyl_mul_simple(rs, weyl_mul_simple(rs, e, 0), 1), 0)
-    w2 = weyl_mul_simple(rs, weyl_mul_simple(rs, weyl_mul_simple(rs, e, 1), 0), 1)
-    assert w1 == w2 and w1.word != w2.word
-    assert hash(w1) == hash(w2)
-    assert w1.length == 3
-
-
-def test_weyl_apply_matches_composition():
-    rng = random.Random(11)
-    rs = root_system("B_2")
-    for w in lk.weyl_generate(rs, 100):
-        lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
-        step = lam
-        for i in reversed(w.word):
-            step = rs.simple_reflection(i, step)
-        assert lk.weyl_apply(rs, w, lam) == step
+    # rho is regular, so the stabilizer of 0 under the dot action is
+    # trivial and its dot orbit has exactly one element per group element
+    ctx = context(name)
+    assert len(lk.dot_orbit(weight(ctx, [(0,) * ctx.rank]))) == order
 
 
 @pytest.mark.parametrize("name", ["A_2", "B_2", "G_2", "A_2xA_1"])
@@ -212,8 +182,7 @@ def test_simple_reflection_involution(name):
 @pytest.mark.parametrize("name", ["A_3", "B_2", "G_2"])
 def test_simple_reflection_permutes_positives(name):
     rs = root_system(name)
-    for i in range(rs.rank):
-        perm = rs.simple_perms[i]
+    for i, perm in enumerate(simple_perms(rs)):
         # alpha_i goes to its negative, everything else stays positive
         assert perm[i] == -(i + 1)
         for p, v in enumerate(perm):
@@ -226,12 +195,13 @@ def test_simple_reflection_permutes_positives(name):
 def test_reflection_adjoint_identity(name):
     # pairing(s_i(lam), beta_vee) == pairing(lam, s_i(beta)_vee)
     rs = root_system(name)
+    perms = simple_perms(rs)
     rng = random.Random(7)
     for _ in range(25):
         lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rs.rank))
         for i in range(rs.rank):
             refl = rs.simple_reflection(i, lam)
             for p in range(rs.num_positive):
-                v = rs.simple_perms[i][p]
+                v = perms[i][p]
                 sign, q = (1, v - 1) if v > 0 else (-1, -v - 1)
                 assert rs.pairing(refl, p) == sign * rs.pairing(lam, q)

@@ -49,6 +49,26 @@ def random_weight(ctx, rng, integral=False):
     return lk.WeightL(ctx, tuple(rows))
 
 
+def simple_perms(rs):
+    """Signed permutation of the positive roots induced by each simple
+    reflection: ``perms[i][p] = s * (q + 1)`` when s_i maps positive root p
+    to s times positive root q."""
+    n = rs.rank
+    index_of = {c: p for p, c in enumerate(rs.positive_roots)}
+    perms = []
+    for i in range(n):
+        perm = []
+        for c in rs.positive_roots:
+            pair = sum(rs.cartan[i][j] * c[j] for j in range(n))
+            c2 = tuple(x - pair if j == i else x for j, x in enumerate(c))
+            if all(x <= 0 for x in c2):
+                perm.append(-(index_of[tuple(-x for x in c2)] + 1))
+            else:
+                perm.append(index_of[c2] + 1)
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
 def simple_root_coords(rs, fund_vector):
     """Solve for coordinates over simple roots given fundamental coords.
 

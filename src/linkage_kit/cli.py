@@ -52,7 +52,8 @@ from .weights_chars import (
 
 SCHEMA = "linkage-kit/1"
 COMMANDS = ("linkset", "factors", "candidates", "obstructions", "dominance", "orbit")
-ORACLE_COMMANDS = ("linkset", "factors", "candidates", "obstructions")
+# commands built on a linkage closure: the only ones --oracle and --witness act on
+CLOSURE_COMMANDS = ("linkset", "factors", "candidates", "obstructions")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -192,6 +193,15 @@ def jobspec_from_dict(data: dict) -> JobSpec:
     command = data.get("command")
     _expect(command in COMMANDS, "command", f"must be one of {COMMANDS}")
 
+    oracle = _as_bool(data.get("oracle", False), "oracle")
+    witness = _as_bool(data.get("witness", False), "witness")
+    for field, flag in (("oracle", oracle), ("witness", witness)):
+        _expect(
+            not flag or command in CLOSURE_COMMANDS,
+            field,
+            f"not supported by the {command} command; only by {', '.join(CLOSURE_COMMANDS)}",
+        )
+
     return JobSpec(
         root_system=root_system,
         embeddings=embeddings,
@@ -202,8 +212,8 @@ def jobspec_from_dict(data: dict) -> JobSpec:
         pi_tag=pi_tag,
         convention=convention,
         command=command,
-        oracle=_as_bool(data.get("oracle", False), "oracle"),
-        witness=_as_bool(data.get("witness", False), "witness"),
+        oracle=oracle,
+        witness=witness,
     )
 
 
@@ -349,7 +359,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
         base_members = None
 
     exit_code = EXIT_OK
-    if job.oracle and job.command in ORACLE_COMMANDS:
+    if job.oracle and job.command in CLOSURE_COMMANDS:
         oracle_set = stabilized_chain_set(chi, convention)
         if job.command in ("candidates", "obstructions"):
             oracle_set = frozenset(

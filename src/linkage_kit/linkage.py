@@ -1,34 +1,40 @@
 """Strong-linkage closures and the factor/obstruction sets built on them.
 
-The production search is a breadth-first closure of a character under
-dominance-gated dot reflections, deduplicated on exact coordinates; the
-chain count explodes combinatorially but the member set is bounded by the
-dot orbit, so BFS is the right algorithm.  Witness chains record the first
-link that discovered each member (existence is all that matters, no
-minimality is promised).
+A gated dot reflection at a global root (sigma, r) reads and writes only
+component sigma, so the reachability graph of a character is the
+Cartesian product of its per-embedding graphs, and the strong-linkage
+closure is the product of the per-embedding closures.  The search runs
+one breadth-first closure per distinct (semisimple block, denominator),
+deduplicated on exact scaled-integer coordinates, and takes the product;
+the chain count explodes combinatorially but each factor is bounded by
+the dot orbit, so BFS is the right algorithm.  Witness chains are built
+on lookup from the per-embedding BFS trees; a chain replays from the
+origin to its member, and nothing more (no minimality, no particular
+chain) is promised.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import _kernel
 from .errors import OrbitGuardExceeded
 from .parabolic import (
     ParabolicSubset,
     central_class_key,
-    in_lambda_p_plus,
     require_parabolic_dominant,
+    row_in_lambda_p_plus,
 )
 from .rootsys import root_tables
 from .weights_chars import (
     GlobalRoot,
     LocAnChar,
-    WeightL,
+    _weight_unchecked,
     check_convention,
+    decode_block,
     dot_reflect_char,
-    from_integer_encoding,
     integer_encoding,
     is_alpha_dominant,
 )
@@ -58,7 +64,8 @@ class LinkageResult:
     """Closure of ``origin`` under gated dot reflections.
 
     ``members`` always contains the origin; ``witness`` maps each member
-    to the first chain that discovered it (the origin's chain is empty).
+    to a chain that replays from the origin to it (the origin's chain is
+    empty), built on lookup.
     ``upper_bound`` marks candidate sets that are only a superset of the
     true factor set (proper parabolic filters)."""
 
@@ -92,56 +99,135 @@ def up_link_candidates(chi: LocAnChar, convention: str) -> list[tuple[GlobalRoot
     return out
 
 
+# one embedding's closure: decoded rows (rows[0] is the origin's) and the
+# BFS tree from the kernel, parent state and root index per row
+_EmbeddingClosure = tuple[list[tuple], list[int], list[int]]
+
+
+class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
+    """Read-only map from each member of a product closure to its witness
+    chain, built on lookup from the per-embedding BFS trees.
+
+    A chain walks embedding 0 down its tree with the other embeddings at
+    their origin values, then embedding 1, and so on.  Looking up a
+    character outside ``members`` raises KeyError."""
+
+    def __init__(
+        self,
+        origin: LocAnChar,
+        members: frozenset[LocAnChar],
+        closures: list[_EmbeddingClosure],
+    ):
+        self._origin = origin
+        self._members = members
+        self._closures = closures
+        self._index: list[dict[tuple, int]] | None = None
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __iter__(self) -> Iterator[LocAnChar]:
+        return iter(self._members)
+
+    def __contains__(self, chi: object) -> bool:
+        return chi in self._members
+
+    def __getitem__(self, chi: LocAnChar) -> LinkageChain:
+        if chi not in self._members:
+            raise KeyError(chi)
+        if self._index is None:
+            self._index = [{row: n for n, row in enumerate(rows)} for rows, _, _ in self._closures]
+        origin = self._origin
+        ctx = origin.algebraic.context
+        current = list(origin.algebraic.components)
+        steps = []
+        for sigma, (rows, parent_state, parent_root) in enumerate(self._closures):
+            path = []
+            k = self._index[sigma][chi.algebraic.components[sigma]]
+            while k:
+                path.append(k)
+                k = parent_state[k]
+            for k in reversed(path):
+                current[sigma] = rows[k]
+                step = LocAnChar(_weight_unchecked(ctx, tuple(current)), origin.smooth_tag)
+                steps.append((GlobalRoot(sigma, parent_root[k]), step))
+        return LinkageChain(tuple(steps))
+
+
+def _product_closure(
+    chi: LocAnChar,
+    convention: str,
+    guard: int,
+    keep_row: Callable[[tuple], bool] | None = None,
+) -> tuple[frozenset[LocAnChar], _WitnessChains]:
+    """Members and witnesses of the closure of chi, as the product over
+    embeddings of the per-embedding closures' rows that pass ``keep_row``
+    (all of them by default; it must accept the origin's rows).
+
+    Raises OrbitGuardExceeded once one embedding's closure, or the product
+    of the closures over the embeddings so far, exceeds ``guard``."""
+    check_convention(convention)
+    ctx = chi.algebraic.context
+    rank = ctx.rank
+    coroots, fund, heights = root_tables(ctx.base)
+    dens, flat = integer_encoding(chi.algebraic)
+    searches: dict[tuple, _EmbeddingClosure] = {}
+    closures: list[_EmbeddingClosure] = []
+    kept: list[list[tuple]] = []
+    size = 1
+    for sigma, d in enumerate(dens):
+        block = flat[sigma * rank : (sigma + 1) * rank]
+        search = searches.get((block, d))
+        if search is None:
+            try:
+                states, parent_state, parent_root = _kernel.linkage_bfs(
+                    1, rank, coroots, fund, heights, (d,), block, convention == "shifted", guard
+                )
+            except OrbitGuardExceeded:
+                raise OrbitGuardExceeded(
+                    f"linkage search of embedding {sigma} exceeded the visited-state cap {guard}"
+                ) from None
+            search = ([decode_block(d, st) for st in states], parent_state, parent_root)
+            searches[(block, d)] = search
+        rows, parent_state, parent_root = search
+        central = chi.algebraic.central(sigma)
+        if central:
+            rows = [row + central for row in rows]
+        closures.append((rows, parent_state, parent_root))
+        if size * len(rows) > guard:
+            raise OrbitGuardExceeded(
+                f"linkage closure product over embeddings 0..{sigma} "
+                f"({size} x {len(rows)} = {size * len(rows)} members) "
+                f"exceeds the visited-state cap {guard}"
+            )
+        size *= len(rows)
+        kept.append(rows if keep_row is None else list(filter(keep_row, rows)))
+
+    combos = itertools.product(*kept)
+    next(combos)  # the origin's rows: keep the caller's object instead
+    tag = chi.smooth_tag
+    members = frozenset(
+        itertools.chain(
+            (chi,), (LocAnChar(_weight_unchecked(ctx, rows), tag) for rows in combos)
+        )
+    )
+    return members, _WitnessChains(chi, members, closures)
+
+
 def strongly_linked_set(
     chi: LocAnChar, convention: str, *, guard: int = DEFAULT_ORBIT_GUARD
 ) -> LinkageResult:
     """Downward closure of chi under gated dot reflections.
 
-    Terminates because every link strictly lowers the height of the moved
-    component and all members stay inside the finite per-embedding dot
-    orbit product; raises OrbitGuardExceeded past ``guard`` visited states.
+    Computed as the product over embeddings of one breadth-first closure
+    per embedding.  Terminates because every link strictly lowers the
+    height of the moved component and each factor stays inside its
+    embedding's finite dot orbit.  Raises OrbitGuardExceeded once one
+    embedding's closure, or the product over the embeddings searched so
+    far, exceeds ``guard``; a closure of exactly ``guard`` members passes.
     """
-    check_convention(convention)
-    ctx = chi.algebraic.context
-    coroots, fund, heights = root_tables(ctx.base)
-    dens, start = integer_encoding(chi.algebraic)
-    centrals = tuple(chi.algebraic.central(s) for s in range(ctx.num_embeddings))
-
-    states, parent_state, parent_root = _kernel.linkage_bfs(
-        ctx.num_embeddings,
-        ctx.rank,
-        coroots,
-        fund,
-        heights,
-        dens,
-        start,
-        convention == "shifted",
-        guard,
-    )
-
-    nroots = ctx.base.num_positive
-    chars = [
-        LocAnChar(from_integer_encoding(ctx, dens, st, centrals), chi.smooth_tag)
-        for st in states
-    ]
-    chars[0] = chi  # identical value; keep the caller's object
-
-    witness: dict[LocAnChar, LinkageChain] = {chi: LinkageChain(())}
-    for n in range(1, len(chars)):
-        steps = []
-        k = n
-        while k != 0:
-            code = parent_root[k]
-            steps.append((GlobalRoot(code // nroots, code % nroots), chars[k]))
-            k = parent_state[k]
-        witness[chars[n]] = LinkageChain(tuple(reversed(steps)))
-
-    return LinkageResult(
-        origin=chi,
-        members=frozenset(chars),
-        witness=witness,
-        convention=convention,
-    )
+    members, witness = _product_closure(chi, convention, guard)
+    return LinkageResult(origin=chi, members=members, witness=witness, convention=convention)
 
 
 def verma_factors_borel(
@@ -166,14 +252,15 @@ def verma_factor_candidates(
     Exact at the Borel (empty subset); for proper parabolics this is an
     upper bound on the true factor set, flagged via ``upper_bound``."""
     require_parabolic_dominant(chi_highest, p)
-    full = strongly_linked_set(chi_highest, convention, guard=guard)
-    kept = frozenset(m for m in full.members if in_lambda_p_plus(m.algebraic, p))
+    indices = p.indices
+    keep_row = (lambda row: row_in_lambda_p_plus(row, indices)) if indices else None
+    members, witness = _product_closure(chi_highest, convention, guard, keep_row)
     return LinkageResult(
         origin=chi_highest,
-        members=kept,
-        witness={m: full.witness[m] for m in kept},
+        members=members,
+        witness=witness,
         convention=convention,
-        upper_bound=bool(p.indices),
+        upper_bound=bool(indices),
     )
 
 

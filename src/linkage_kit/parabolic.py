@@ -86,14 +86,18 @@ def in_lambda_p_plus(lam: WeightL, p: ParabolicSubset) -> bool:
     strictly positive integer, in every embedding.
 
     In fundamental coordinates this is a coordinate read: coordinate i
-    must be a non-negative integer for each i in I."""
+    must be a non-negative integer for each i in I.  The test is a
+    conjunction over embeddings of :func:`row_in_lambda_p_plus`."""
     require_same_context(lam.context, p.context)
-    for sigma in range(lam.context.num_embeddings):
-        row = lam.components[sigma]
-        for i in p.indices:
-            shifted = row[i] + 1
-            if shifted.denominator != 1 or shifted <= 0:
-                return False
+    return all(row_in_lambda_p_plus(row, p.indices) for row in lam.components)
+
+
+def row_in_lambda_p_plus(row: tuple[Fraction, ...], indices: Iterable[int]) -> bool:
+    """The test of :func:`in_lambda_p_plus` on one embedding's coordinates."""
+    for i in indices:
+        x = row[i]
+        if x.denominator != 1 or x < 0:
+            return False
     return True
 
 

@@ -282,6 +282,14 @@ def integer_encoding(lam: WeightL):
 _SMALL_FRACTIONS = {n: Fraction(n) for n in range(-128, 129)}
 
 
+def decode_block(d: int, nums: Sequence[int]) -> tuple[Fraction, ...]:
+    """Fractions of one embedding's scaled-integer block with denominator d."""
+    if d == 1:
+        small = _SMALL_FRACTIONS
+        return tuple(small[n] if -128 <= n <= 128 else Fraction(n) for n in nums)
+    return tuple(Fraction(n, d) for n in nums)
+
+
 def from_integer_encoding(
     ctx: EmbeddingContext,
     dens: Sequence[int],
@@ -290,17 +298,8 @@ def from_integer_encoding(
 ) -> WeightL:
     """Inverse of :func:`integer_encoding`, reattaching central blocks."""
     rank = ctx.rank
-    small = _SMALL_FRACTIONS
-    rows = []
-    for sigma in range(ctx.num_embeddings):
-        d = dens[sigma]
-        base = sigma * rank
-        if d == 1:
-            ss = tuple(
-                small[n] if -128 <= (n := flat[base + i]) <= 128 else Fraction(n)
-                for i in range(rank)
-            )
-        else:
-            ss = tuple(Fraction(flat[base + i], d) for i in range(rank))
-        rows.append(ss + tuple(centrals[sigma]))
-    return _weight_unchecked(ctx, tuple(rows))
+    rows = tuple(
+        decode_block(dens[sigma], flat[sigma * rank : (sigma + 1) * rank]) + tuple(centrals[sigma])
+        for sigma in range(ctx.num_embeddings)
+    )
+    return _weight_unchecked(ctx, rows)

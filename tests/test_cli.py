@@ -80,7 +80,8 @@ def test_normalized_echo_reparses_identically():
 def test_byte_determinism_in_process():
     for command in ("linkset", "factors", "candidates", "obstructions", "dominance", "orbit"):
         job = make_job(command=command, root_system="B_2", parabolic=[1],
-                       character={"coords": [["1", "0"]], "smooth_tag": "s"}, witness=True)
+                       character={"coords": [["1", "0"]], "smooth_tag": "s"},
+                       witness=command in cli.CLOSURE_COMMANDS)
         out1 = render_json(run(job)[1])
         out2 = render_json(run(job)[1])
         assert out1 == out2
@@ -287,3 +288,34 @@ def test_orbit_guard_bounds_the_orbit(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"]["code"] == "guard"
+
+
+@pytest.mark.parametrize("command", ["dominance", "orbit"])
+@pytest.mark.parametrize("flag", ["oracle", "witness"])
+@pytest.mark.parametrize("source", ["flag", "job_file"])
+def test_oracle_and_witness_need_a_closure_command(command, flag, source, tmp_path, capsys):
+    # both flags act only on closure commands; elsewhere they were echoed
+    # as true and then ignored, so they are rejected instead
+    if source == "flag":
+        argv = ["--root-system", "A_1", "--weight", "0", "--command", command, f"--{flag}"]
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "root_system": "A_1",
+                    "character": {"coords": [["0"]]},
+                    "command": command,
+                    flag: True,
+                }
+            )
+        )
+        argv = ["--job", str(path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation"
+    assert error["field"] == flag
+    # the same job without the flag runs
+    assert cli.main(["--root-system", "A_1", "--weight", "0", "--command", command]) == 0

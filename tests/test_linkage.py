@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 import linkage_kit as lk
+from linkage_kit import _kernel
+from linkage_kit.rootsys import root_tables
+from linkage_kit.weights_chars import from_integer_encoding, integer_encoding
 from util import char, context, coords_set, integral_grid, simple_root_coords, weight
 
 
@@ -277,3 +280,126 @@ def test_central_block_rides_along():
     for member in result.members:
         assert member.algebraic.central(0) == (Fraction(7, 3),)
         assert member.algebraic.central(1) == (Fraction(5),)
+
+
+# product closures: repeated blocks, blocks that differ only in their central
+# values, non-integral embeddings (denominators 2 and 3) next to integral
+# ones, and weights where the two conventions disagree
+PRODUCT_GRID = [
+    ("A_1", 3, 0, [(0,), (0,), (0,)]),
+    ("A_1", 3, 0, [(2,), (Fraction(1, 2),), (-3,)]),
+    ("A_1", 3, 1, [(1, Fraction(7, 3)), (1, 5), (Fraction(-1, 3), 0)]),
+    ("A_2", 2, 0, [(0, 0), (Fraction(1, 2), Fraction(1, 2))]),
+    ("A_2", 2, 0, [(1, -2), (2, 1)]),
+    ("A_2", 2, 1, [(Fraction(1, 3), Fraction(2, 3), 4), (0, 0, Fraction(1, 2))]),
+    ("A_2", 2, 1, [(1, Fraction(1, 2), 3), (2, 0, Fraction(-1, 3))]),
+    ("B_2", 2, 0, [(1, 1), (Fraction(1, 2), 1)]),
+    ("B_2", 2, 1, [(0, 0, -1), (0, 0, 2)]),
+]
+
+
+def joint_closure(chi, convention):
+    """The closure from one kernel search over all embeddings at once,
+    decoded; independent of the per-embedding product."""
+    ctx = chi.algebraic.context
+    coroots, fund, heights = root_tables(ctx.base)
+    dens, start = integer_encoding(chi.algebraic)
+    centrals = tuple(chi.algebraic.central(s) for s in range(ctx.num_embeddings))
+    states, _, _ = _kernel.linkage_bfs(
+        ctx.num_embeddings, ctx.rank, coroots, fund, heights, dens, start,
+        convention == "shifted", lk.DEFAULT_ORBIT_GUARD,
+    )
+    return frozenset(
+        lk.LocAnChar(from_integer_encoding(ctx, dens, st, centrals), chi.smooth_tag)
+        for st in states
+    )
+
+
+def replays(origin, chain, member, convention):
+    cur = origin
+    for root, step_char in chain.steps:
+        if not lk.is_alpha_dominant(cur, root, convention):
+            return False
+        cur = lk.dot_reflect_char(cur, root)
+        if cur != step_char:
+            return False
+    return cur == member
+
+
+@pytest.mark.parametrize("name,s,central,rows", PRODUCT_GRID)
+@pytest.mark.parametrize("convention", ["paper", "shifted"])
+def test_product_closure_matches_joint_search(name, s, central, rows, convention):
+    chi = char(context(name, embeddings=s, central=central), rows)
+    result = lk.strongly_linked_set(chi, convention)
+    assert result.members == joint_closure(chi, convention)
+    assert result.origin is chi
+    assert any(m is chi for m in result.members)
+
+
+@pytest.mark.parametrize("name,s,central,rows", PRODUCT_GRID)
+@pytest.mark.parametrize("convention", ["paper", "shifted"])
+def test_lazy_witness_contract(name, s, central, rows, convention):
+    chi = char(context(name, embeddings=s, central=central), rows)
+    result = lk.strongly_linked_set(chi, convention)
+    witness = result.witness
+    assert set(witness) == result.members
+    assert len(witness) == len(result.members)
+    assert witness[chi].steps == ()
+    for member in result.members:
+        assert replays(chi, witness[member], member, convention)
+
+    outsider = lk.LocAnChar(chi.algebraic, chi.smooth_tag + "'")
+    assert outsider not in witness
+    with pytest.raises(KeyError):
+        witness[outsider]
+    assert witness.get(outsider) is None
+
+
+def first_dominant_index(rows, rank):
+    """The first simple-root index at which every row is a non-negative
+    integer, so that it makes a proper parabolic the origin satisfies."""
+    return next(
+        (i for i in range(rank) if all(Fraction(r[i]).denominator == 1 and r[i] >= 0 for r in rows)),
+        None,
+    )
+
+
+PARABOLIC_GRID = [
+    (name, s, central, rows, i)
+    for name, s, central, rows in PRODUCT_GRID
+    if (i := first_dominant_index(rows, context(name).rank)) is not None
+]
+
+
+@pytest.mark.parametrize("name,s,central,rows,index", PARABOLIC_GRID)
+@pytest.mark.parametrize("convention", ["paper", "shifted"])
+def test_candidate_witnesses_are_the_kept_members(name, s, central, rows, index, convention):
+    ctx = context(name, embeddings=s, central=central)
+    chi = char(ctx, rows)
+    p = lk.ParabolicSubset(ctx, frozenset({index}))
+    full = lk.strongly_linked_set(chi, convention)
+    cands = lk.verma_factor_candidates(chi, p, convention)
+    kept = frozenset(m for m in full.members if lk.in_lambda_p_plus(m.algebraic, p))
+    assert cands.members == kept
+    assert cands.upper_bound
+    assert set(cands.witness) == kept
+    for member in kept:
+        assert replays(chi, cands.witness[member], member, convention)
+    for member in full.members - kept:
+        with pytest.raises(KeyError):
+            cands.witness[member]
+
+
+def test_guard_across_embeddings():
+    ctx = context("A_1", embeddings=3)
+    chi = char(ctx, [(0,), (0,), (0,)])
+    # each embedding's closure has 2 members; the product reaches 8 in the last
+    with pytest.raises(lk.OrbitGuardExceeded, match=r"embeddings 0\.\.2 \(4 x 2 = 8 members\)"):
+        lk.strongly_linked_set(chi, "paper", guard=7)
+    assert len(lk.strongly_linked_set(chi, "paper", guard=8)) == 8
+
+    # one embedding's own search past the cap names that embedding
+    ctx2 = context("A_2", embeddings=2)
+    chi2 = char(ctx2, [(Fraction(1, 2), 0), (0, 0)])
+    with pytest.raises(lk.OrbitGuardExceeded, match="embedding 1 exceeded"):
+        lk.strongly_linked_set(chi2, "paper", guard=5)

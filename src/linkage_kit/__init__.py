@@ -31,7 +31,7 @@ from .linkage import (
     verma_factor_candidates,
     verma_factors_borel,
 )
-from .oracle import OracleConfig, dot_orbit, linkage_by_chains, stabilized_chain_set
+from .oracle import dot_orbit, stabilized_chain_set
 from .parabolic import ParabolicSubset, central_class_key, equal_on_center, in_lambda_p_plus
 from .rootsys import (
     CartanSpec,
@@ -70,7 +70,6 @@ __all__ = [
     "LocAnChar",
     "NotIntegral",
     "NotParabolicDominant",
-    "OracleConfig",
     "OrbitGuardExceeded",
     "ParabolicSubset",
     "RankMismatch",
@@ -88,7 +87,6 @@ __all__ = [
     "is_alpha_dominant",
     "is_alpha_integral",
     "kernel_implementation",
-    "linkage_by_chains",
     "noncritical_obstruction_set",
     "positive_root_count",
     "stabilized_chain_set",

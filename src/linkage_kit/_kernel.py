@@ -1,23 +1,17 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-Set LINKAGE_KIT_PURE=1 before import to force the pure twins.  Individual
-calls also fall back transparently when the compiled kernel reports that an
-input is outside its 64-bit integer range.
+Individual calls also fall back transparently when the compiled kernel
+reports that an input is outside its 64-bit integer range.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _purekernel
 
-if os.environ.get("LINKAGE_KIT_PURE"):
+try:
+    from . import _speedups as _fast
+except ImportError:
     _fast = None
-else:
-    try:
-        from . import _speedups as _fast
-    except ImportError:
-        _fast = None
 
 IMPLEMENTATION = "cython" if _fast is not None else "python"
 
@@ -32,17 +26,4 @@ def linkage_bfs(num_embeddings, rank, coroots, fund, heights, dens, start, shift
             pass
     return _purekernel.linkage_bfs(
         num_embeddings, rank, coroots, fund, heights, dens, start, shifted, guard
-    )
-
-
-def chain_endpoints(num_embeddings, rank, coroots, fund, heights, dens, start, shifted, max_len):
-    if _fast is not None:
-        try:
-            return _fast.chain_endpoints(
-                num_embeddings, rank, coroots, fund, heights, dens, start, shifted, max_len
-            )
-        except _fast.KernelOverflow:
-            pass
-    return _purekernel.chain_endpoints(
-        num_embeddings, rank, coroots, fund, heights, dens, start, shifted, max_len
     )

@@ -1,9 +1,10 @@
-"""Pure-Python twins of the compiled search kernels.
+"""Pure-Python twin of the compiled search kernel.
 
-Same contracts as linkage_kit._speedups but on arbitrary-precision ints;
+Same contract as linkage_kit._speedups but on arbitrary-precision ints;
 this module is the fallback selected at import time when the extension is
 unavailable and the escape hatch when inputs exceed the compiled kernel's
-integer range.
+integer range.  Its gated step (_gated_children) is also the step of the
+chain oracle in linkage_kit.oracle.
 
 States are flat tuples of scaled-integer coordinates (see
 weights_chars.integer_encoding): embedding sigma owns coordinates
@@ -77,24 +78,3 @@ def linkage_bfs(num_embeddings, rank, coroots, fund, heights, dens, start, shift
                 parent_root.append(sigma * nroots + r)
         head += 1
     return states, parent_state, parent_root
-
-
-def chain_endpoints(num_embeddings, rank, coroots, fund, heights, dens, start, shifted, max_len):
-    """Endpoints of every gated reflection sequence of length <= max_len.
-
-    Literal depth-first enumeration of the sequences themselves: states
-    reached along different sequences are revisited, which is the point of
-    this kernel as an independent check on linkage_bfs."""
-    start = tuple(start)
-    endpoints = {start}
-    stack = [(start, 0)]
-    while stack:
-        state, depth = stack.pop()
-        if depth == max_len:
-            continue
-        for _sigma, _r, child in _gated_children(
-            state, num_embeddings, rank, coroots, fund, heights, dens, shifted
-        ):
-            endpoints.add(child)
-            stack.append((child, depth + 1))
-    return endpoints

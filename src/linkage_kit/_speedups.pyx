@@ -186,60 +186,3 @@ def linkage_bfs(num_embeddings, rank, coroots, fund, heights, dens, start, shift
     finally:
         free(child)
         _free_tables(&t)
-
-
-def chain_endpoints(num_embeddings, rank, coroots, fund, heights, dens, start, shifted, max_len):
-    """Compiled twin of _purekernel.chain_endpoints (same contract)."""
-    cdef Tables t
-    cdef int do_shift = 1 if shifted else 0
-    cdef long long depth_cap = max_len
-    cdef int sigma, r, i, base
-    cdef int64_t num, coeff, d, nv
-    cdef const int64_t *cur
-    cdef int64_t *child = NULL
-    cdef bytes key, child_key
-    cdef long long depth
-    _load_tables(&t, num_embeddings, rank, coroots, fund, heights, dens)
-    child = <int64_t *> malloc(t.sr * sizeof(int64_t))
-    if child == NULL:
-        _free_tables(&t)
-        raise MemoryError()
-    try:
-        key = _pack_start(&t, start)
-        endpoints = {key}
-        stack = [(key, 0)]
-        while stack:
-            key, depth = stack.pop()
-            if depth >= depth_cap:
-                continue
-            cur = <const int64_t *> PyBytes_AS_STRING(key)
-            for sigma in range(t.num_embeddings):
-                base = sigma * t.rank
-                d = t.dens[sigma]
-                for r in range(t.nroots):
-                    num = 0
-                    for i in range(t.rank):
-                        num += t.coroots[r * t.rank + i] * cur[base + i]
-                    if num % d != 0:
-                        continue
-                    if do_shift:
-                        if num + d * t.heights[r] <= 0:
-                            continue
-                    elif num < 0:
-                        continue
-                    coeff = num / d + t.heights[r]
-                    if coeff == 0:
-                        continue
-                    memcpy(child, cur, t.sr * sizeof(int64_t))
-                    for i in range(t.rank):
-                        nv = child[base + i] - coeff * d * t.fund[r * t.rank + i]
-                        if nv < -COORD_LIMIT or nv > COORD_LIMIT:
-                            raise KernelOverflow("state coordinate outside compiled range")
-                        child[base + i] = nv
-                    child_key = PyBytes_FromStringAndSize(<char *> child, t.sr * sizeof(int64_t))
-                    endpoints.add(child_key)
-                    stack.append((child_key, depth + 1))
-        return {_unpack(&t, k) for k in endpoints}
-    finally:
-        free(child)
-        _free_tables(&t)

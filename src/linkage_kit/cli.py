@@ -52,8 +52,10 @@ from .weights_chars import (
 
 SCHEMA = "linkage-kit/1"
 COMMANDS = ("linkset", "factors", "candidates", "obstructions", "dominance", "orbit")
-# commands built on a linkage closure: the only ones --oracle and --witness act on
+# commands built on a linkage closure: the only ones --oracle acts on
 CLOSURE_COMMANDS = ("linkset", "factors", "candidates", "obstructions")
+# closure commands that print their members: the only ones --witness acts on
+WITNESS_COMMANDS = ("linkset", "factors", "candidates")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -195,11 +197,14 @@ def jobspec_from_dict(data: dict) -> JobSpec:
 
     oracle = _as_bool(data.get("oracle", False), "oracle")
     witness = _as_bool(data.get("witness", False), "witness")
-    for field, flag in (("oracle", oracle), ("witness", witness)):
+    for field, flag, commands in (
+        ("oracle", oracle, CLOSURE_COMMANDS),
+        ("witness", witness, WITNESS_COMMANDS),
+    ):
         _expect(
-            not flag or command in CLOSURE_COMMANDS,
+            not flag or command in commands,
             field,
-            f"not supported by the {command} command; only by {', '.join(CLOSURE_COMMANDS)}",
+            f"not supported by the {command} command; only by {', '.join(commands)}",
         )
 
     return JobSpec(

@@ -1,10 +1,11 @@
 """Reference sets used to validate the linkage search.
 
-linkage_by_chains enumerates every gated reflection sequence literally
+stabilized_chain_set enumerates every gated reflection sequence literally
 (no deduplication of states), which is exponentially slower than the
-production BFS and shares nothing with it beyond the weight/reflection
-primitives; agreement of the two is the package's main self-check and is
-exposed behind the CLI's --oracle flag.
+production BFS; agreement of the two is the package's main self-check and
+is exposed behind the CLI's --oracle flag.  It shares the integer
+gate-and-move step with the BFS kernel (_purekernel._gated_children); only
+the traversal is independent.
 
 dot_orbit is the ungated container of every linkage closure: the orbit of
 a weight under the dot action of the Weyl group, found by closing under
@@ -13,9 +14,7 @@ the simple reflections without enumerating the group itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import _kernel
+from ._purekernel import _gated_children
 from .errors import OrbitGuardExceeded
 from .linkage import DEFAULT_ORBIT_GUARD
 from .rootsys import root_tables
@@ -28,60 +27,34 @@ from .weights_chars import (
 )
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    max_chain_length: int
-    convention: str
+def stabilized_chain_set(
+    chi: LocAnChar, convention: str, *, max_depth: int = 128
+) -> frozenset[LocAnChar]:
+    """Endpoints of every gated reflection sequence from chi, chi included.
 
-    def __post_init__(self):
-        if self.max_chain_length < 1:
-            raise ValueError("max_chain_length must be >= 1")
-        check_convention(self.convention)
-
-
-def linkage_by_chains(chi: LocAnChar, cfg: OracleConfig) -> frozenset[LocAnChar]:
-    """Endpoints of all gated reflection sequences of length up to
-    cfg.max_chain_length, plus chi itself.
-
-    Once the depth covers the longest gated chain this is the full
-    strong-linkage set; see stabilized_chain_set for depth selection."""
+    Level d holds the endpoint of each gated sequence of length d, one
+    entry per sequence, and level d+1 extends every entry by one gated
+    step.  The enumeration stops at the first level adding no new
+    endpoint: every longer sequence factors through a shorter endpoint,
+    so no later level can add one either.  Raises RuntimeError if level
+    max_depth still adds endpoints."""
+    check_convention(convention)
     ctx = chi.algebraic.context
     coroots, fund, heights = root_tables(ctx.base)
     dens, start = integer_encoding(chi.algebraic)
     centrals = tuple(chi.algebraic.central(s) for s in range(ctx.num_embeddings))
-    endpoints = _kernel.chain_endpoints(
-        ctx.num_embeddings,
-        ctx.rank,
-        coroots,
-        fund,
-        heights,
-        dens,
-        start,
-        cfg.convention == "shifted",
-        cfg.max_chain_length,
-    )
-    return frozenset(
-        LocAnChar(from_integer_encoding(ctx, dens, st, centrals), chi.smooth_tag)
-        for st in endpoints
-    )
-
-
-def stabilized_chain_set(
-    chi: LocAnChar, convention: str, *, max_depth: int = 128
-) -> frozenset[LocAnChar]:
-    """Run linkage_by_chains at depths d and d+1 until the two agree.
-
-    The endpoint set is monotone in depth, and a depth adding nothing new
-    can never add anything later (every longer sequence factors through a
-    shorter endpoint), so equality certifies stabilization."""
-    depth = 1
-    prev = linkage_by_chains(chi, OracleConfig(depth, convention))
-    while depth < max_depth:
-        cur = linkage_by_chains(chi, OracleConfig(depth + 1, convention))
-        if cur == prev:
-            return cur
-        prev = cur
-        depth += 1
+    step = (ctx.num_embeddings, ctx.rank, coroots, fund, heights, dens, convention == "shifted")
+    level = [tuple(start)]
+    endpoints = set(level)
+    for _ in range(max_depth):
+        level = [child for state in level for _s, _r, child in _gated_children(state, *step)]
+        before = len(endpoints)
+        endpoints.update(level)
+        if len(endpoints) == before:
+            return frozenset(
+                LocAnChar(from_integer_encoding(ctx, dens, st, centrals), chi.smooth_tag)
+                for st in endpoints
+            )
     raise RuntimeError(f"chain enumeration did not stabilize within depth {max_depth}")
 
 

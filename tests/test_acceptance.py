@@ -231,8 +231,8 @@ def _random_jobspec(rng):
             "convention": rng.choice(["paper", "shifted"]),
             "command": command,
             "oracle": False,
-            # witness chains exist only for closure commands
-            "witness": rng.random() < 0.5 and command not in ("dominance", "orbit"),
+            # witness chains exist only for commands that print members
+            "witness": rng.random() < 0.5 and command in ("linkset", "factors", "candidates"),
         }
     )
 

@@ -81,7 +81,7 @@ def test_byte_determinism_in_process():
     for command in ("linkset", "factors", "candidates", "obstructions", "dominance", "orbit"):
         job = make_job(command=command, root_system="B_2", parabolic=[1],
                        character={"coords": [["1", "0"]], "smooth_tag": "s"},
-                       witness=command in cli.CLOSURE_COMMANDS)
+                       witness=command in cli.WITNESS_COMMANDS)
         out1 = render_json(run(job)[1])
         out2 = render_json(run(job)[1])
         assert out1 == out2
@@ -290,12 +290,21 @@ def test_orbit_guard_bounds_the_orbit(monkeypatch, capsys):
     assert json.loads(err)["error"]["code"] == "guard"
 
 
-@pytest.mark.parametrize("command", ["dominance", "orbit"])
-@pytest.mark.parametrize("flag", ["oracle", "witness"])
+@pytest.mark.parametrize(
+    "flag,command",
+    [
+        ("oracle", "dominance"),
+        ("oracle", "orbit"),
+        ("witness", "dominance"),
+        ("witness", "orbit"),
+        ("witness", "obstructions"),
+    ],
+)
 @pytest.mark.parametrize("source", ["flag", "job_file"])
 def test_oracle_and_witness_need_a_closure_command(command, flag, source, tmp_path, capsys):
-    # both flags act only on closure commands; elsewhere they were echoed
-    # as true and then ignored, so they are rejected instead
+    # --oracle acts only on closure commands and --witness only on those
+    # that print members; elsewhere a flag was echoed as true and then
+    # ignored, so it is rejected instead
     if source == "flag":
         argv = ["--root-system", "A_1", "--weight", "0", "--command", command, f"--{flag}"]
     else:
@@ -317,5 +326,8 @@ def test_oracle_and_witness_need_a_closure_command(command, flag, source, tmp_pa
     error = json.loads(err)["error"]
     assert error["code"] == "validation"
     assert error["field"] == flag
-    # the same job without the flag runs
-    assert cli.main(["--root-system", "A_1", "--weight", "0", "--command", command]) == 0
+    # the same job without the flag runs, and so does --oracle on a closure command
+    argv = ["--root-system", "A_1", "--weight", "0", "--command", command]
+    assert cli.main(argv) == 0
+    if command in cli.CLOSURE_COMMANDS:
+        assert cli.main(argv + ["--oracle"]) == 0

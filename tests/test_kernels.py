@@ -44,16 +44,6 @@ def test_bfs_agreement(name, embeddings, rows, shifted):
     assert pure == fast
 
 
-@pytest.mark.parametrize("name,embeddings,rows", CASES)
-@pytest.mark.parametrize("shifted", [False, True])
-def test_chain_agreement(name, embeddings, rows, shifted):
-    args = kernel_args(name, embeddings, rows, shifted)
-    for depth in (1, 2, 6):
-        pure = _purekernel.chain_endpoints(*args, depth)
-        fast = speedups.chain_endpoints(*args, depth)
-        assert pure == fast
-
-
 def test_random_rational_states_agree():
     rng = random.Random(42)
     for _ in range(60):

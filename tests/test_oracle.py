@@ -9,40 +9,48 @@ from util import char, context, coords_set, integral_grid, weight
 
 def test_rank_one_chains():
     ctx = context("A_1")
-    got = lk.linkage_by_chains(char(ctx, [(0,)]), lk.OracleConfig(4, "paper"))
+    got = lk.stabilized_chain_set(char(ctx, [(0,)]), "paper")
     assert coords_set(got) == {((Fraction(0),),), ((Fraction(-2),),)}
 
-    got = lk.linkage_by_chains(char(ctx, [(3,)]), lk.OracleConfig(1, "paper"))
+    got = lk.stabilized_chain_set(char(ctx, [(3,)]), "paper")
     assert coords_set(got) == {((Fraction(3),),), ((Fraction(-5),),)}
 
 
 def test_config_invariants():
+    chi = char(context("A_1"), [(0,)])
     with pytest.raises(ValueError):
-        lk.OracleConfig(0, "paper")
-    with pytest.raises(ValueError):
-        lk.OracleConfig(3, "bogus")
+        lk.stabilized_chain_set(chi, "bogus")
 
 
 def test_a2_zero_six_members():
     ctx = context("A_2")
-    got = lk.linkage_by_chains(char(ctx, [(0, 0)]), lk.OracleConfig(6, "paper"))
+    got = lk.stabilized_chain_set(char(ctx, [(0, 0)]), "paper")
     assert len(got) == 6
 
 
 def test_monotone_and_stabilizes():
     ctx = context("B_2")
     chi = char(ctx, [(1, 1)])
-    sizes = []
+    # a depth cap below the longest chain raises; from the first cap that
+    # suffices on, every cap gives the same set
     prev = None
     for depth in range(1, 10):
-        cur = lk.linkage_by_chains(chi, lk.OracleConfig(depth, "paper"))
+        try:
+            cur = lk.stabilized_chain_set(chi, "paper", max_depth=depth)
+        except RuntimeError:
+            assert prev is None
+            continue
         if prev is not None:
-            assert prev <= cur
-        sizes.append(len(cur))
+            assert cur == prev
         prev = cur
-    assert sizes == sorted(sizes)
     stable = lk.stabilized_chain_set(chi, "paper")
     assert stable == prev
+
+
+def test_max_depth_below_longest_chain_raises():
+    chi = char(context("B_2"), [(1, 1)])
+    with pytest.raises(RuntimeError, match="within depth 1"):
+        lk.stabilized_chain_set(chi, "paper", max_depth=1)
 
 
 @pytest.mark.parametrize("convention", ["paper", "shifted"])

@@ -4,7 +4,8 @@ Same contract as linkage_kit._speedups but on arbitrary-precision ints;
 this module is the fallback selected at import time when the extension is
 unavailable and the escape hatch when inputs exceed the compiled kernel's
 integer range.  Its gated step (_gated_children) is also the step of the
-chain oracle in linkage_kit.oracle.
+chain oracle in linkage_kit.oracle, and its breadth-first search (bfs)
+also closes dot orbits there.
 
 States are flat tuples of scaled-integer coordinates (see
 weights_chars.integer_encoding): embedding sigma owns coordinates
@@ -14,12 +15,15 @@ dens[sigma], which no linkage move can change.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import OrbitGuardExceeded
 
 
-def _gated_children(state, num_embeddings, rank, coroots, fund, heights, dens, shifted):
-    """Yield (sigma, root, child state) for every dominance-gated dot
-    reflection that moves the state."""
+def _gated_children(num_embeddings, rank, coroots, fund, heights, dens, shifted, state):
+    """Yield (global root index, child state) for every dominance-gated dot
+    reflection that moves the state; the index of root r in embedding
+    sigma is sigma * nroots + r."""
     nroots = len(heights)
     for sigma in range(num_embeddings):
         base = sigma * rank
@@ -41,40 +45,38 @@ def _gated_children(state, num_embeddings, rank, coroots, fund, heights, dens, s
             child = list(state)
             for i in range(rank):
                 child[base + i] -= coeff * d * f[i]
-            yield sigma, r, tuple(child)
+            yield sigma * nroots + r, tuple(child)
 
 
-def linkage_bfs(num_embeddings, rank, coroots, fund, heights, dens, start, shifted, guard):
-    """Downward closure of the start state under gated dot reflections.
+def bfs(start, children, guard):
+    """Breadth-first closure of ``start`` under ``children``, which maps a
+    state to its (label, child state) pairs; states are compared exactly.
 
-    Breadth-first search with an exact-coordinate visited set.  Returns
-    (states, parent_state, parent_root): states[0] is the start, and for
-    n > 0 the first discovered link into states[n] came from
-    states[parent_state[n]] at global root parent_root[n] (encoded as
-    sigma * nroots + root index).
+    Returns (states, parent_state, parent_label): states[0] is the start,
+    and for n > 0 the first discovered edge into states[n] came from
+    states[parent_state[n]] with label parent_label[n].
 
     Raises OrbitGuardExceeded when more than ``guard`` states are found.
     """
-    nroots = len(heights)
-    start = tuple(start)
     index = {start: 0}
     states = [start]
     parent_state = [-1]
-    parent_root = [-1]
-    head = 0
-    while head < len(states):
-        state = states[head]
-        for sigma, r, child in _gated_children(
-            state, num_embeddings, rank, coroots, fund, heights, dens, shifted
-        ):
+    parent_label = [-1]
+    for head, state in enumerate(states):  # grows while it is walked
+        for label, child in children(state):
             if child not in index:
                 if len(index) >= guard:
-                    raise OrbitGuardExceeded(
-                        f"linkage search exceeded the visited-state cap {guard}"
-                    )
+                    raise OrbitGuardExceeded(f"search exceeded the visited-state cap {guard}")
                 index[child] = len(states)
                 states.append(child)
                 parent_state.append(head)
-                parent_root.append(sigma * nroots + r)
-        head += 1
-    return states, parent_state, parent_root
+                parent_label.append(label)
+    return states, parent_state, parent_label
+
+
+def linkage_bfs(num_embeddings, rank, coroots, fund, heights, dens, start, shifted, guard):
+    """Downward closure of the start state under gated dot reflections:
+    bfs over _gated_children, so the parent labels are global root indices
+    (sigma * nroots + root index)."""
+    children = partial(_gated_children, num_embeddings, rank, coroots, fund, heights, dens, shifted)
+    return bfs(tuple(start), children, guard)

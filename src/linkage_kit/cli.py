@@ -4,7 +4,8 @@ Jobs arrive either as flags or as a JSON job file (--job supersedes
 flags); output is a deterministic JSON document on stdout (sorted keys,
 canonical "p/q" rationals, no timestamps), errors are structured JSON on
 stderr.  Exit codes: 0 success, 2 validation error, 3 guard exhaustion,
-4 oracle disagreement.
+4 oracle disagreement; an internal fault (an error no input can cause)
+ends the process with a traceback, status 1.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
-    ContextMismatch,
-    IndexOutOfRange,
     InvalidCartan,
     LinkageKitError,
-    NotIntegral,
     NotParabolicDominant,
     OrbitGuardExceeded,
     RankMismatch,
@@ -141,6 +139,7 @@ def jobspec_from_dict(data: dict) -> JobSpec:
     }
     for key in data:
         _expect(key in known, key, "unknown job field")
+    _expect(data.get("schema", SCHEMA) == SCHEMA, "schema", f"must be {SCHEMA!r}")
 
     root = data.get("root_system")
     if isinstance(root, str):
@@ -166,6 +165,8 @@ def jobspec_from_dict(data: dict) -> JobSpec:
 
     character = data.get("character")
     _expect(isinstance(character, dict), "character", "expected an object with coords and smooth_tag")
+    for key in character:
+        _expect(key in ("coords", "smooth_tag"), f"character.{key}", "unknown character field")
     raw_coords = character.get("coords")
     _expect(isinstance(raw_coords, (list, tuple)), "character.coords", "expected a list per embedding")
     _expect(
@@ -520,15 +521,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(render_json(_error_document("validation", exc.message, exc.field)), file=sys.stderr)
         return EXIT_VALIDATION
-    except (
-        InvalidCartan,
-        RankMismatch,
-        ContextMismatch,
-        NotIntegral,
-        NotParabolicDominant,
-        IndexOutOfRange,
-        ValueError,
-    ) as exc:
+    except NotParabolicDominant as exc:
         print(render_json(_error_document("validation", str(exc))), file=sys.stderr)
         return EXIT_VALIDATION
     except OrbitGuardExceeded as exc:

@@ -31,6 +31,7 @@ from .rootsys import root_tables
 from .weights_chars import (
     GlobalRoot,
     LocAnChar,
+    WeightL,
     _weight_unchecked,
     check_convention,
     decode_block,
@@ -100,7 +101,7 @@ def up_link_candidates(chi: LocAnChar, convention: str) -> list[tuple[GlobalRoot
 
 
 # one embedding's closure: decoded rows (rows[0] is the origin's) and the
-# BFS tree from the kernel, parent state and root index per row
+# BFS tree, parent state and edge label (for linkage, root index) per row
 _EmbeddingClosure = tuple[list[tuple], list[int], list[int]]
 
 
@@ -154,6 +155,45 @@ class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
         return LinkageChain(tuple(steps))
 
 
+def _embedding_closures(lam: WeightL, search: Callable, guard: int) -> list[_EmbeddingClosure]:
+    """Per-embedding closures of lam: ``search(block, d)`` returns the BFS
+    tree (states, parent state, parent label) of one embedding's scaled-
+    integer block with denominator d, once per distinct (block, d); its
+    states are decoded into rows, central block appended.  Raises
+    OrbitGuardExceeded once one embedding's search, or the product of the
+    closure sizes over the embeddings so far, exceeds ``guard``."""
+    rank = lam.context.rank
+    dens, flat = integer_encoding(lam)
+    searches: dict[tuple, _EmbeddingClosure] = {}
+    closures: list[_EmbeddingClosure] = []
+    size = 1
+    for sigma, d in enumerate(dens):
+        block = flat[sigma * rank : (sigma + 1) * rank]
+        found = searches.get((block, d))
+        if found is None:
+            try:
+                states, parent_state, parent_label = search(block, d)
+            except OrbitGuardExceeded:
+                raise OrbitGuardExceeded(
+                    f"search of embedding {sigma} exceeded the visited-state cap {guard}"
+                ) from None
+            found = ([decode_block(d, st) for st in states], parent_state, parent_label)
+            searches[(block, d)] = found
+        rows, parent_state, parent_label = found
+        central = lam.central(sigma)
+        if central:
+            rows = [row + central for row in rows]
+        if size * len(rows) > guard:
+            raise OrbitGuardExceeded(
+                f"closure product over embeddings 0..{sigma} "
+                f"({size} x {len(rows)} = {size * len(rows)} members) "
+                f"exceeds the visited-state cap {guard}"
+            )
+        size *= len(rows)
+        closures.append((rows, parent_state, parent_label))
+    return closures
+
+
 def _product_closure(
     chi: LocAnChar,
     convention: str,
@@ -162,47 +202,19 @@ def _product_closure(
 ) -> tuple[frozenset[LocAnChar], _WitnessChains]:
     """Members and witnesses of the closure of chi, as the product over
     embeddings of the per-embedding closures' rows that pass ``keep_row``
-    (all of them by default; it must accept the origin's rows).
-
-    Raises OrbitGuardExceeded once one embedding's closure, or the product
-    of the closures over the embeddings so far, exceeds ``guard``."""
+    (all of them by default; it must accept the origin's rows).  Guarded as
+    in _embedding_closures."""
     check_convention(convention)
     ctx = chi.algebraic.context
     rank = ctx.rank
     coroots, fund, heights = root_tables(ctx.base)
-    dens, flat = integer_encoding(chi.algebraic)
-    searches: dict[tuple, _EmbeddingClosure] = {}
-    closures: list[_EmbeddingClosure] = []
-    kept: list[list[tuple]] = []
-    size = 1
-    for sigma, d in enumerate(dens):
-        block = flat[sigma * rank : (sigma + 1) * rank]
-        search = searches.get((block, d))
-        if search is None:
-            try:
-                states, parent_state, parent_root = _kernel.linkage_bfs(
-                    1, rank, coroots, fund, heights, (d,), block, convention == "shifted", guard
-                )
-            except OrbitGuardExceeded:
-                raise OrbitGuardExceeded(
-                    f"linkage search of embedding {sigma} exceeded the visited-state cap {guard}"
-                ) from None
-            search = ([decode_block(d, st) for st in states], parent_state, parent_root)
-            searches[(block, d)] = search
-        rows, parent_state, parent_root = search
-        central = chi.algebraic.central(sigma)
-        if central:
-            rows = [row + central for row in rows]
-        closures.append((rows, parent_state, parent_root))
-        if size * len(rows) > guard:
-            raise OrbitGuardExceeded(
-                f"linkage closure product over embeddings 0..{sigma} "
-                f"({size} x {len(rows)} = {size * len(rows)} members) "
-                f"exceeds the visited-state cap {guard}"
-            )
-        size *= len(rows)
-        kept.append(rows if keep_row is None else list(filter(keep_row, rows)))
+    shifted = convention == "shifted"
 
+    def search(block, d):
+        return _kernel.linkage_bfs(1, rank, coroots, fund, heights, (d,), block, shifted, guard)
+
+    closures = _embedding_closures(chi.algebraic, search, guard)
+    kept = [rows if keep_row is None else list(filter(keep_row, rows)) for rows, _, _ in closures]
     combos = itertools.product(*kept)
     next(combos)  # the origin's rows: keep the caller's object instead
     tag = chi.smooth_tag

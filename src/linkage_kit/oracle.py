@@ -9,18 +9,21 @@ the traversal is independent.
 
 dot_orbit is the ungated container of every linkage closure: the orbit of
 a weight under the dot action of the Weyl group, found by closing under
-the simple reflections without enumerating the group itself.
+the simple reflections without enumerating the group itself, on the
+closure engine: linkage._embedding_closures driving _purekernel.bfs.
 """
 
 from __future__ import annotations
 
-from ._purekernel import _gated_children
-from .errors import OrbitGuardExceeded
-from .linkage import DEFAULT_ORBIT_GUARD
+import itertools
+
+from ._purekernel import _gated_children, bfs
+from .linkage import DEFAULT_ORBIT_GUARD, _embedding_closures
 from .rootsys import root_tables
 from .weights_chars import (
     LocAnChar,
     WeightL,
+    _weight_unchecked,
     check_convention,
     from_integer_encoding,
     integer_encoding,
@@ -47,7 +50,7 @@ def stabilized_chain_set(
     level = [tuple(start)]
     endpoints = set(level)
     for _ in range(max_depth):
-        level = [child for state in level for _s, _r, child in _gated_children(state, *step)]
+        level = [child for state in level for _label, child in _gated_children(*step, state)]
         before = len(endpoints)
         endpoints.update(level)
         if len(endpoints) == before:
@@ -65,39 +68,25 @@ def dot_orbit(lam: WeightL, *, size_guard: int = DEFAULT_ORBIT_GUARD) -> frozens
     and shifted by rho, which is D in every coordinate; there the dot
     action of s_i is linear and subtracts m_i times column i of the
     Cartan matrix, so a breadth-first closure under the simple
-    reflections visits exactly the orbit.  Central blocks ride along
-    unchanged.  Raises OrbitGuardExceeded as soon as one embedding's
-    orbit or the running product exceeds ``size_guard``.
+    reflections visits exactly the orbit.  Repeated blocks are searched
+    once; central blocks ride along unchanged.  Raises OrbitGuardExceeded
+    as soon as one embedding's orbit or the running product exceeds
+    ``size_guard``.
     """
     ctx = lam.context
-    rank = ctx.rank
-    cartan = ctx.base.cartan
-    columns = [tuple(cartan[j][i] for j in range(rank)) for i in range(rank)]
-    dens, flat = integer_encoding(lam)
-    centrals = tuple(lam.central(s) for s in range(ctx.num_embeddings))
-    product: list[tuple[int, ...]] = [()]
-    for sigma, d in enumerate(dens):
-        start = tuple(x + d for x in flat[sigma * rank : (sigma + 1) * rank])
-        seen = {start}
-        orbit = [start]
-        for m in orbit:  # grows while it is walked: breadth-first
-            for i in range(rank):
-                mi = m[i]
-                if mi == 0:
-                    continue  # s_i fixes m
-                nxt = tuple(a - mi * c for a, c in zip(m, columns[i]))
-                if nxt not in seen:
-                    if len(seen) >= size_guard:
-                        raise OrbitGuardExceeded(
-                            f"dot orbit of embedding {sigma} exceeds size guard {size_guard}"
-                        )
-                    seen.add(nxt)
-                    orbit.append(nxt)
-        if len(product) * len(orbit) > size_guard:
-            raise OrbitGuardExceeded(
-                f"dot orbit product over embeddings 0..{sigma} "
-                f"({len(product)} x {len(orbit)}) exceeds size guard {size_guard}"
-            )
-        block = [tuple(x - d for x in m) for m in orbit]
-        product = [p + b for p in product for b in block]
-    return frozenset(from_integer_encoding(ctx, dens, st, centrals) for st in product)
+    columns = list(zip(*ctx.base.cartan))
+
+    def reflections(m):
+        for i, column in enumerate(columns):
+            mi = m[i]
+            if mi:  # s_i fixes m when m_i == 0
+                yield i, tuple(a - mi * c for a, c in zip(m, column))
+
+    def search(block, d):
+        states, parent_state, parent_label = bfs(tuple(x + d for x in block), reflections, size_guard)
+        return [tuple(x - d for x in m) for m in states], parent_state, parent_label
+
+    closures = _embedding_closures(lam, search, size_guard)
+    return frozenset(
+        _weight_unchecked(ctx, rows) for rows in itertools.product(*(rows for rows, _, _ in closures))
+    )

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 and enforcing its time budget (run with `pytest -s tests/test_acceptance.py`
-to see the lines).  Budgets assume the compiled kernels are built; the pure
-fallback is correct but slower."""
+to see the lines).  Budgets must hold with the pure-Python kernel, which
+is what Tier-1 runs when the compiled extension is not built."""
 
 import itertools
 import json

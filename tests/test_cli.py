@@ -51,6 +51,33 @@ def test_unknown_field_rejected():
         jobspec_from_dict({"root_system": "A_1", "command": "linkset", "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"character": {"coords": [["2"]], "smooth_tag": "t", "colour": "red"}}, "character.colour"),
+        ({"schema": "bogus/9"}, "schema"),
+    ],
+)
+def test_unknown_character_field_and_foreign_schema_rejected(overrides, field):
+    with pytest.raises(ValidationError) as err:
+        make_job(**overrides)
+    assert err.value.field == field
+    assert make_job(schema=cli.SCHEMA) == make_job()
+
+
+def test_internal_fault_is_not_a_validation_error(monkeypatch, capsys):
+    import linkage_kit.linkage as linkage
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    # raised inside strongly_linked_set, not by anything the job says
+    monkeypatch.setattr(linkage, "_product_closure", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["--root-system", "A_1", "--weight", "0", "--command", "linkset"])
+    assert capsys.readouterr() == ("", "")
+
+
 def test_parabolic_index_validation():
     job = make_job(parabolic=[3])
     with pytest.raises(ValidationError) as err:

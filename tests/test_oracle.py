@@ -103,6 +103,18 @@ def test_dot_orbit_guard():
     assert len(lk.dot_orbit(lam, size_guard=36)) == 36
 
 
+def test_dot_orbit_guard_across_embeddings():
+    ctx = context("A_2", embeddings=2)
+    lam = weight(ctx, [(0, 0), (0, -1)])
+    # embedding 0's orbit has 6 members, embedding 1's 3; the product reaches 18
+    with pytest.raises(lk.OrbitGuardExceeded, match=r"embeddings 0\.\.1 \(6 x 3 = 18 members\)"):
+        lk.dot_orbit(lam, size_guard=17)
+    # one embedding's own orbit past the guard names that embedding
+    with pytest.raises(lk.OrbitGuardExceeded, match="embedding 0 exceeded"):
+        lk.dot_orbit(lam, size_guard=5)
+    assert len(lk.dot_orbit(lam, size_guard=18)) == 18
+
+
 @pytest.mark.parametrize(
     "name,embeddings,central",
     [("A_1", 2, 1), ("A_2", 1, 0), ("B_2", 1, 1), ("G_2", 1, 0), ("A_2xA_1", 1, 0)],

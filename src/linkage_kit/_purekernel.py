@@ -1,51 +1,120 @@
-"""Pure-Python twin of the compiled search kernel.
+"""Pure-Python twin of the compiled search kernel, in root coordinates.
 
-Same contract as linkage_kit._speedups but on arbitrary-precision ints;
-this module is the fallback selected at import time when the extension is
-unavailable and the escape hatch when inputs exceed the compiled kernel's
-integer range.  Its gated step (_gated_children) is also the step of the
-chain oracle in linkage_kit.oracle, and its breadth-first search (bfs)
-also closes dot orbits there.
+Same contract as linkage_kit._speedups (the same states, parent arrays,
+labels and guard) on arbitrary-precision ints; this module is the fallback
+selected at import time when the extension is unavailable and the escape
+hatch when inputs exceed the compiled kernel's integer range.  Its
+breadth-first search (bfs) over the reflection step (reflection_children)
+also closes dot orbits in linkage_kit.oracle.
 
 States are flat tuples of scaled-integer coordinates (see
 weights_chars.integer_encoding): embedding sigma owns coordinates
 [sigma*rank, (sigma+1)*rank) with a fixed positive denominator
-dens[sigma], which no linkage move can change.
+dens[sigma], which no linkage move can change.  The search runs on the
+rho-shifted blocks key = m + d, which is d*(lambda + rho) in fundamental
+coordinates.  There a dot reflection is linear and maps each coroot to
+plus or minus a coroot, so on the signed pairings E = (q, -q),
+q[beta] = <key, beta^vee>, a gate is one read of E and a child is a fixed
+selection from E (see reflection_table).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from collections.abc import Callable
+from functools import lru_cache, partial
+from operator import add, itemgetter, sub
+from typing import NamedTuple
 
 from .errors import OrbitGuardExceeded
 
 
-def _gated_children(num_embeddings, rank, coroots, fund, heights, dens, shifted, state):
-    """Yield (global root index, child state) for every dominance-gated dot
-    reflection that moves the state; the index of root r in embedding
-    sigma is sigma * nroots + r."""
-    nroots = len(heights)
-    for sigma in range(num_embeddings):
+class ReflectionTable(NamedTuple):
+    """Root-coordinate tables of one root system; see reflection_table."""
+
+    sums: tuple[tuple[int, int], ...]
+    position: tuple[int, ...]
+    picks: tuple[Callable, ...]
+
+
+def reflection_table(coroots, fund) -> ReflectionTable:
+    """Reflections as signed permutations of the coroot pairings, from
+    the kernel tables (coroot coefficient rows, root rows in fundamental
+    coordinates; simple roots first).
+
+    The pairings q of a shifted block with the positive coroots are laid
+    out in coroot-height order, the simple coroots (the block itself)
+    first.  ``sums`` holds, for every later coroot beta^vee in that order,
+    a pair (p, i) with beta^vee = gamma^vee + alpha_i^vee and gamma^vee at
+    place p, so appending q[p] + q[i] for each pair builds q with one
+    addition per non-simple coroot.  ``position[r]`` is the place of
+    positive root r in q.  With E = q + [-x for x in q], the reflection
+    s_r maps alpha_i^vee to alpha_i^vee - <alpha_r, alpha_i^vee> alpha_r^vee,
+    which is plus or minus a positive coroot, so ``picks[r](E)`` is the
+    shifted block of s_r(key): no multiplication, no overflow.
+
+    This is the root-coordinate representation of Weyl group elements of
+    Casselman, "Machine calculations in Weyl groups", Invent. Math. 116
+    (1994).  The tables are built once per root system, not once per
+    search: they are cached on their contents.
+    """
+    return _build_table(tuple(map(tuple, coroots)), tuple(map(tuple, fund)))
+
+
+def _pick_one(at, E):
+    return (E[at],)  # a one-index itemgetter would return a bare value
+
+
+@lru_cache(maxsize=64)
+def _build_table(coroots, fund) -> ReflectionTable:
+    nroots = len(coroots)
+    rank = len(coroots[0])
+    # a stable sort keeps the simple coroots (the only ones of height 1) first
+    order = sorted(range(nroots), key=lambda b: sum(coroots[b]))
+    place = {coroots[b]: p for p, b in enumerate(order)}
+    sums = []
+    for b in order[rank:]:
+        k = coroots[b]
+        for i in range(rank):
+            gamma = k[:i] + (k[i] - 1,) + k[i + 1 :]
+            if gamma in place:
+                sums.append((place[gamma], i))
+                break
+    picks = []
+    for root, k in zip(fund, coroots):
+        at = []
+        for i in range(rank):
+            image = tuple(int(j == i) - root[i] * c for j, c in enumerate(k))
+            if image in place:
+                at.append(place[image])
+            else:
+                at.append(nroots + place[tuple(-c for c in image)])
+        picks.append(itemgetter(*at) if rank > 1 else partial(_pick_one, at[0]))
+    position = tuple(place[k] for k in coroots)
+    return ReflectionTable(tuple(sums), position, tuple(picks))
+
+
+def reflection_children(sums, gates, d, key):
+    """(label, child) for every gate (label, place, bound, pick) that
+    passes on the shifted block ``key``: E[place] >= bound and d divides
+    E[place], where E is built by ``sums`` as in reflection_table; the
+    child is pick(E)."""
+    q = list(key)
+    for p, i in sums:
+        q.append(q[p] + q[i])
+    q += [-x for x in q]
+    return [
+        (label, pick(q)) for label, at, bound, pick in gates if (v := q[at]) >= bound and not v % d
+    ]
+
+
+def _product_children(rank, steps, state):
+    """Children of a state of several embeddings: steps[sigma] moves
+    block sigma and leaves the others alone."""
+    for sigma, step in enumerate(steps):
         base = sigma * rank
-        d = dens[sigma]
-        for r in range(nroots):
-            k = coroots[r]
-            num = sum(k[i] * state[base + i] for i in range(rank))
-            if num % d:
-                continue  # pairing not an integer
-            if shifted:
-                if num + d * heights[r] <= 0:
-                    continue
-            elif num < 0:
-                continue
-            coeff = num // d + heights[r]
-            if coeff == 0:
-                continue
-            f = fund[r]
-            child = list(state)
-            for i in range(rank):
-                child[base + i] -= coeff * d * f[i]
-            yield sigma * nroots + r, tuple(child)
+        head, tail = state[:base], state[base + rank :]
+        for label, block in step(state[base : base + rank]):
+            yield label, head + block + tail
 
 
 def bfs(start, children, guard):
@@ -76,7 +145,25 @@ def bfs(start, children, guard):
 
 def linkage_bfs(num_embeddings, rank, coroots, fund, heights, dens, start, shifted, guard):
     """Downward closure of the start state under gated dot reflections:
-    bfs over _gated_children, so the parent labels are global root indices
-    (sigma * nroots + root index)."""
-    children = partial(_gated_children, num_embeddings, rank, coroots, fund, heights, dens, shifted)
-    return bfs(tuple(start), children, guard)
+    bfs over reflection_children, with parent labels the global root
+    indices (sigma * nroots + root index).
+
+    The gate at root r of embedding sigma reads q = <key, r^vee>: d must
+    divide q, and q >= d * ht(r^vee) under "paper" (the plain pairing is
+    >= 0) or q >= 1 under "shifted".  Either bound excludes q = 0, so every
+    gated reflection moves the state."""
+    table = reflection_table(coroots, fund)
+    nroots = len(heights)
+    steps = []
+    for sigma, d in enumerate(dens):
+        gates = [
+            (sigma * nroots + r, table.position[r], 1 if shifted else d * height, table.picks[r])
+            for r, height in enumerate(heights)
+        ]
+        steps.append(partial(reflection_children, table.sums, gates, d))
+    children = steps[0] if num_embeddings == 1 else partial(_product_children, rank, steps)
+    shift = tuple(d for d in dens for _ in range(rank))
+    states, parent_state, parent_label = bfs(tuple(map(add, start, shift)), children, guard)
+    for n, key in enumerate(states):
+        states[n] = tuple(map(sub, key, shift))
+    return states, parent_state, parent_label

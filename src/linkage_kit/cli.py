@@ -20,7 +20,6 @@ from fractions import Fraction
 from .errors import (
     InvalidCartan,
     LinkageKitError,
-    NotParabolicDominant,
     OrbitGuardExceeded,
     RankMismatch,
 )
@@ -246,6 +245,12 @@ def _normalize_job(job: JobSpec):
         rows.append(tuple(Fraction(x) for x in row))
     chi = LocAnChar(WeightL(ctx, tuple(rows)), job.smooth_tag)
     parabolic = ParabolicSubset(ctx, frozenset(i - 1 for i in job.parabolic))
+    if job.command in ("candidates", "obstructions"):  # both need a parabolic-dominant character
+        _expect(
+            in_lambda_p_plus(chi.algebraic, parabolic),
+            "character.coords",
+            "character is not dominant-integral for the parabolic subset",
+        )
 
     normalized = replace(
         job, root_system=rs.name if rs.name is not None else rs.cartan
@@ -520,9 +525,6 @@ def main(argv=None) -> int:
         exit_code, document = run(job)
     except ValidationError as exc:
         print(render_json(_error_document("validation", exc.message, exc.field)), file=sys.stderr)
-        return EXIT_VALIDATION
-    except NotParabolicDominant as exc:
-        print(render_json(_error_document("validation", str(exc))), file=sys.stderr)
         return EXIT_VALIDATION
     except OrbitGuardExceeded as exc:
         print(render_json(_error_document("guard", str(exc))), file=sys.stderr)

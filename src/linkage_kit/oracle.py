@@ -3,21 +3,25 @@
 stabilized_chain_set enumerates every gated reflection sequence literally
 (no deduplication of states), which is exponentially slower than the
 production BFS; agreement of the two is the package's main self-check and
-is exposed behind the CLI's --oracle flag.  It shares the integer
-gate-and-move step with the BFS kernel (_purekernel._gated_children); only
-the traversal is independent.
+is exposed behind the CLI's --oracle flag.  Its gate-and-move step
+(_gated_children) is its own: it computes every pairing as a dot product
+with a coroot and moves the unshifted state along the root, while the
+kernel reads pairings and children off signed permutations of the
+coroots.
 
 dot_orbit is the ungated container of every linkage closure: the orbit of
 a weight under the dot action of the Weyl group, found by closing under
 the simple reflections without enumerating the group itself, on the
-closure engine: linkage._embedding_closures driving _purekernel.bfs.
+closure engine: linkage._embedding_closures driving _purekernel.bfs over
+the kernel's reflection step.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
-from ._purekernel import _gated_children, bfs
+from ._purekernel import bfs, reflection_children, reflection_table
 from .linkage import DEFAULT_ORBIT_GUARD, _embedding_closures
 from .rootsys import root_tables
 from .weights_chars import (
@@ -28,6 +32,34 @@ from .weights_chars import (
     from_integer_encoding,
     integer_encoding,
 )
+
+
+def _gated_children(num_embeddings, rank, coroots, fund, heights, dens, shifted, state):
+    """Yield (global root index, child state) for every dominance-gated dot
+    reflection that moves the scaled-integer state; the index of root r in
+    embedding sigma is sigma * nroots + r."""
+    nroots = len(heights)
+    for sigma in range(num_embeddings):
+        base = sigma * rank
+        d = dens[sigma]
+        for r in range(nroots):
+            k = coroots[r]
+            num = sum(k[i] * state[base + i] for i in range(rank))
+            if num % d:
+                continue  # pairing not an integer
+            if shifted:
+                if num + d * heights[r] <= 0:
+                    continue
+            elif num < 0:
+                continue
+            coeff = num // d + heights[r]
+            if coeff == 0:
+                continue
+            f = fund[r]
+            child = list(state)
+            for i in range(rank):
+                child[base + i] -= coeff * d * f[i]
+            yield sigma * nroots + r, tuple(child)
 
 
 def stabilized_chain_set(
@@ -66,24 +98,25 @@ def dot_orbit(lam: WeightL, *, size_guard: int = DEFAULT_ORBIT_GUARD) -> frozens
 
     Each embedding's block is encoded as scaled integers (denominator D)
     and shifted by rho, which is D in every coordinate; there the dot
-    action of s_i is linear and subtracts m_i times column i of the
-    Cartan matrix, so a breadth-first closure under the simple
-    reflections visits exactly the orbit.  Repeated blocks are searched
-    once; central blocks ride along unchanged.  Raises OrbitGuardExceeded
-    as soon as one embedding's orbit or the running product exceeds
-    ``size_guard``.
+    action of s_i is linear and moves the block unless its i-th
+    coordinate is 0, so a breadth-first closure under the simple
+    reflections visits exactly the orbit.  Its step is the kernel's
+    reflection step with one gate per simple root and no integrality
+    gate.  Repeated blocks are searched once; central blocks ride along
+    unchanged.  Raises OrbitGuardExceeded as soon as one embedding's
+    orbit or the running product exceeds ``size_guard``.
     """
     ctx = lam.context
-    columns = list(zip(*ctx.base.cartan))
-
-    def reflections(m):
-        for i, column in enumerate(columns):
-            mi = m[i]
-            if mi:  # s_i fixes m when m_i == 0
-                yield i, tuple(a - mi * c for a, c in zip(m, column))
+    coroots, fund, _heights = root_tables(ctx.base)
+    table = reflection_table(coroots, fund)
+    nroots = len(table.position)
+    # s_i moves the shifted block exactly when q_i != 0, that is when
+    # E[i] >= 1 or E[nroots + i] >= 1; simple coroot i sits at place i
+    gates = [(i, at, 1, table.picks[i]) for i in range(ctx.rank) for at in (i, nroots + i)]
+    children = partial(reflection_children, table.sums, gates, 1)
 
     def search(block, d):
-        states, parent_state, parent_label = bfs(tuple(x + d for x in block), reflections, size_guard)
+        states, parent_state, parent_label = bfs(tuple(x + d for x in block), children, size_guard)
         return [tuple(x - d for x in m) for m in states], parent_state, parent_label
 
     closures = _embedding_closures(lam, search, size_guard)

@@ -208,6 +208,9 @@ def _run_cli(args, env_extra=None):
 
     env = dict(os.environ)
     env.update(env_extra or {})
+    # the child imports the package under test, also from a checkout
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "linkage_kit", *args],
         capture_output=True,
@@ -358,3 +361,35 @@ def test_oracle_and_witness_need_a_closure_command(command, flag, source, tmp_pa
     assert cli.main(argv) == 0
     if command in cli.CLOSURE_COMMANDS:
         assert cli.main(argv + ["--oracle"]) == 0
+
+
+@pytest.mark.parametrize("command", ["candidates", "obstructions"])
+@pytest.mark.parametrize("source", ["flag", "job_file"])
+def test_non_parabolic_dominant_character_is_a_field_error(command, source, tmp_path, capsys):
+    # -3 is not dominant for the parabolic {1} of A_1
+    if source == "flag":
+        argv = ["--root-system", "A_1", "--weight=-3", "--parabolic", "1", "--command", command]
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "root_system": "A_1",
+                    "parabolic": [1],
+                    "character": {"coords": [["-3"]]},
+                    "command": command,
+                }
+            )
+        )
+        argv = ["--job", str(path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "code": "validation",
+        "field": "character.coords",
+        "message": "character is not dominant-integral for the parabolic subset",
+    }
+    # the parabolic does not restrict the other commands
+    argv = ["--root-system", "A_1", "--weight=-3", "--parabolic", "1", "--command", "linkset"]
+    assert cli.main(argv) == 0

@@ -40,7 +40,7 @@ def test_bfs_agreement(name, embeddings, rows, shifted):
     args = kernel_args(name, embeddings, rows, shifted)
     pure = _purekernel.linkage_bfs(*args, 10**6)
     fast = speedups.linkage_bfs(*args, 10**6)
-    # identical algorithm, identical traversal order
+    # identical contract
     assert pure == fast
 
 

@@ -1,0 +1,101 @@
+"""The pure kernel in root coordinates, checked without the extension.
+
+The kernel's search must keep the linkage_bfs contract (states, parent
+arrays, labels and guard) of a breadth-first search over the oracle's own
+gate-and-move step, which computes every pairing as a dot product; and its
+tables must agree with the Fraction-level pairing and dot reflection.
+"""
+
+import random
+from fractions import Fraction
+from functools import partial
+
+import pytest
+
+import linkage_kit as lk
+from linkage_kit import _kernel, _purekernel
+from linkage_kit.oracle import _gated_children
+from linkage_kit.rootsys import root_tables
+from linkage_kit.weights_chars import integer_encoding
+from util import context, root_system
+
+CONTRACT_SYSTEMS = ["A_1", "A_2", "A_3", "B_2", "B_3", "C_3", "G_2", "F_4", "D_5", "A_2xB_2"]
+CAP = 1500  # searches larger than this check that both sides raise
+
+
+def reference_bfs(num_embeddings, rank, coroots, fund, heights, dens, start, shifted, guard):
+    step = partial(_gated_children, num_embeddings, rank, coroots, fund, heights, dens, shifted)
+    return _purekernel.bfs(tuple(start), step, guard)
+
+
+@pytest.mark.parametrize("name", CONTRACT_SYSTEMS)
+@pytest.mark.parametrize("convention", ["paper", "shifted"])
+def test_kernel_keeps_the_bfs_contract(name, convention):
+    rng = random.Random(f"{name}/{convention}")
+    coroots, fund, heights = root_tables(root_system(name))
+    searched = 0
+    for embeddings in (1, 2, 3):
+        ctx = context(name, embeddings=embeddings)
+        for _ in range(4):
+            rows = []
+            for _sigma in range(embeddings):
+                d = rng.randint(1, 4)
+                rows.append(tuple(Fraction(rng.randint(-3 * d, 3 * d), d) for _ in range(ctx.rank)))
+            dens, start = integer_encoding(lk.WeightL(ctx, tuple(rows)))
+            args = (embeddings, ctx.rank, coroots, fund, heights, dens, start, convention == "shifted")
+            try:
+                expected = reference_bfs(*args, CAP)
+            except lk.OrbitGuardExceeded:
+                with pytest.raises(lk.OrbitGuardExceeded):
+                    _kernel.linkage_bfs(*args, CAP)
+                continue
+            n = len(expected[0])
+            assert _kernel.linkage_bfs(*args, n) == expected  # the guard at the cap
+            if n > 1:
+                with pytest.raises(lk.OrbitGuardExceeded):
+                    _kernel.linkage_bfs(*args, n - 1)
+                searched += 1
+    assert searched >= 3
+
+
+TABLE_SYSTEMS = [
+    "A_1",
+    "B_3",
+    "B_4",
+    "C_3",
+    "C_4",
+    "D_4",
+    "D_5",
+    "E_6",
+    "E_7",
+    "E_8",
+    "F_4",
+    "G_2",
+    "B_2xG_2",
+    ((2, -1, 0), (-2, 2, -1), (0, -1, 2)),  # an explicit matrix: C_3 labelled backwards
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_SYSTEMS, ids=str)
+def test_reflection_tables(spec):
+    rs = lk.build_root_system(spec)
+    coroots, fund, heights = root_tables(rs)
+    table = _purekernel.reflection_table(coroots, fund)
+    nroots = len(heights)
+    ctx = lk.EmbeddingContext(rs, 1, 0)
+    rng = random.Random(str(spec))
+    for _ in range(3):
+        d = rng.randint(1, 4)
+        m = tuple(rng.randint(-5 * d, 5 * d) for _ in range(rs.rank))
+        q = [x + d for x in m]
+        for p, i in table.sums:
+            q.append(q[p] + q[i])
+        assert len(q) == nroots
+        for r in range(nroots):
+            pairing = sum(k * x for k, x in zip(coroots[r], m))
+            assert q[table.position[r]] == pairing + d * heights[r]
+        E = q + [-x for x in q]
+        lam = lk.WeightL(ctx, (tuple(Fraction(x, d) for x in m),))
+        for r in range(nroots):
+            moved = lk.dot_reflect(lam, lk.GlobalRoot(0, r))
+            assert table.picks[r](E) == tuple(d * (x + 1) for x in moved.semisimple(0))

@@ -5,12 +5,10 @@ locally analytic characters spread over an embedding set, standard
 parabolic subsets, and the linkage search producing Verma factor sets,
 parabolic candidate sets and non-criticality obstruction lists.
 
-The hot search loops run in a compiled extension when available; a pure
-Python twin with identical semantics is selected automatically otherwise
-(see linkage_kit.kernel_implementation).
+The search kernel is pure Python on arbitrary-precision ints (see
+linkage_kit._kernel); linkage_kit.kernel_implementation names it.
 """
 
-from ._kernel import IMPLEMENTATION as kernel_implementation
 from .errors import (
     ContextMismatch,
     IndexOutOfRange,
@@ -54,6 +52,8 @@ from .weights_chars import (
 )
 
 __version__ = "0.1.0"
+
+kernel_implementation = "python"
 
 __all__ = [
     "CONVENTIONS",

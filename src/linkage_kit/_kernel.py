@@ -1,29 +1,152 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The search kernel, in root coordinates, on arbitrary-precision ints.
 
-Individual calls also fall back transparently when the compiled kernel
-reports that an input is outside its 64-bit integer range.
+linkage_bfs closes one embedding's block under gated dot reflections for
+linkage.strongly_linked_set and the sets built on it; its breadth-first
+search (bfs) over the reflection step (reflection_children) also closes dot
+orbits in linkage_kit.oracle.
+
+A state is one embedding's block of scaled-integer coordinates (see
+weights_chars.integer_encoding) with a fixed positive denominator d, which
+no linkage move can change.  The search runs on the rho-shifted blocks
+key = m + d, which is d*(lambda + rho) in fundamental coordinates.  There a
+dot reflection is linear and maps each coroot to plus or minus a coroot,
+so on the signed pairings E = (q, -q), q[beta] = <key, beta^vee>, a gate
+is one read of E and a child is a fixed selection from E (see
+reflection_table).
 """
 
 from __future__ import annotations
 
-from . import _purekernel
+from collections.abc import Callable
+from functools import lru_cache, partial
+from operator import add, itemgetter, sub
+from typing import NamedTuple
 
-try:
-    from . import _speedups as _fast
-except ImportError:
-    _fast = None
-
-IMPLEMENTATION = "cython" if _fast is not None else "python"
+from .errors import OrbitGuardExceeded
 
 
-def linkage_bfs(num_embeddings, rank, coroots, fund, heights, dens, start, shifted, guard):
-    if _fast is not None:
-        try:
-            return _fast.linkage_bfs(
-                num_embeddings, rank, coroots, fund, heights, dens, start, shifted, guard
-            )
-        except _fast.KernelOverflow:
-            pass
-    return _purekernel.linkage_bfs(
-        num_embeddings, rank, coroots, fund, heights, dens, start, shifted, guard
-    )
+class ReflectionTable(NamedTuple):
+    """Root-coordinate tables of one root system; see reflection_table."""
+
+    sums: tuple[tuple[int, int], ...]
+    position: tuple[int, ...]
+    picks: tuple[Callable, ...]
+
+
+def reflection_table(coroots, fund) -> ReflectionTable:
+    """Reflections as signed permutations of the coroot pairings, from
+    the kernel tables (coroot coefficient rows, root rows in fundamental
+    coordinates; simple roots first).
+
+    The pairings q of a shifted block with the positive coroots are laid
+    out in coroot-height order, the simple coroots (the block itself)
+    first.  ``sums`` holds, for every later coroot beta^vee in that order,
+    a pair (p, i) with beta^vee = gamma^vee + alpha_i^vee and gamma^vee at
+    place p, so appending q[p] + q[i] for each pair builds q with one
+    addition per non-simple coroot.  ``position[r]`` is the place of
+    positive root r in q.  With E = q + [-x for x in q], the reflection
+    s_r maps alpha_i^vee to alpha_i^vee - <alpha_r, alpha_i^vee> alpha_r^vee,
+    which is plus or minus a positive coroot, so ``picks[r](E)`` is the
+    shifted block of s_r(key): no multiplication, no overflow.
+
+    This is the root-coordinate representation of Weyl group elements of
+    Casselman, "Machine calculations in Weyl groups", Invent. Math. 116
+    (1994).  The tables are built once per root system, not once per
+    search: they are cached on their contents.
+    """
+    return _build_table(tuple(map(tuple, coroots)), tuple(map(tuple, fund)))
+
+
+def _pick_one(at, E):
+    return (E[at],)  # a one-index itemgetter would return a bare value
+
+
+@lru_cache(maxsize=64)
+def _build_table(coroots, fund) -> ReflectionTable:
+    nroots = len(coroots)
+    rank = len(coroots[0])
+    # a stable sort keeps the simple coroots (the only ones of height 1) first
+    order = sorted(range(nroots), key=lambda b: sum(coroots[b]))
+    place = {coroots[b]: p for p, b in enumerate(order)}
+    sums = []
+    for b in order[rank:]:
+        k = coroots[b]
+        for i in range(rank):
+            gamma = k[:i] + (k[i] - 1,) + k[i + 1 :]
+            if gamma in place:
+                sums.append((place[gamma], i))
+                break
+    picks = []
+    for root, k in zip(fund, coroots):
+        at = []
+        for i in range(rank):
+            image = tuple(int(j == i) - root[i] * c for j, c in enumerate(k))
+            if image in place:
+                at.append(place[image])
+            else:
+                at.append(nroots + place[tuple(-c for c in image)])
+        picks.append(itemgetter(*at) if rank > 1 else partial(_pick_one, at[0]))
+    position = tuple(place[k] for k in coroots)
+    return ReflectionTable(tuple(sums), position, tuple(picks))
+
+
+def reflection_children(sums, gates, d, key):
+    """(label, child) for every gate (label, place, bound, pick) that
+    passes on the shifted block ``key``: E[place] >= bound and d divides
+    E[place], where E is built by ``sums`` as in reflection_table; the
+    child is pick(E)."""
+    q = list(key)
+    for p, i in sums:
+        q.append(q[p] + q[i])
+    q += [-x for x in q]
+    return [
+        (label, pick(q)) for label, at, bound, pick in gates if (v := q[at]) >= bound and not v % d
+    ]
+
+
+def bfs(start, children, guard):
+    """Breadth-first closure of ``start`` under ``children``, which maps a
+    state to its (label, child state) pairs; states are compared exactly.
+
+    Returns (states, parent_state, parent_label): states[0] is the start,
+    and for n > 0 the first discovered edge into states[n] came from
+    states[parent_state[n]] with label parent_label[n].
+
+    Raises OrbitGuardExceeded when more than ``guard`` states are found.
+    """
+    index = {start: 0}
+    states = [start]
+    parent_state = [-1]
+    parent_label = [-1]
+    for head, state in enumerate(states):  # grows while it is walked
+        for label, child in children(state):
+            if child not in index:
+                if len(index) >= guard:
+                    raise OrbitGuardExceeded(f"search exceeded the visited-state cap {guard}")
+                index[child] = len(states)
+                states.append(child)
+                parent_state.append(head)
+                parent_label.append(label)
+    return states, parent_state, parent_label
+
+
+def linkage_bfs(coroots, fund, heights, d, start, shifted, guard):
+    """Downward closure of the block ``start`` (denominator d) under gated
+    dot reflections: bfs over reflection_children, with parent labels the
+    root indices.
+
+    The gate at root r reads q = <key, r^vee>: d must divide q, and
+    q >= d * ht(r^vee) under "paper" (the plain pairing is >= 0) or q >= 1
+    under "shifted".  Either bound excludes q = 0, so every gated
+    reflection moves the state."""
+    table = reflection_table(coroots, fund)
+    gates = [
+        (r, table.position[r], 1 if shifted else d * height, table.picks[r])
+        for r, height in enumerate(heights)
+    ]
+    children = partial(reflection_children, table.sums, gates, d)
+    shift = (d,) * len(start)
+    states, parent_state, parent_label = bfs(tuple(map(add, start, shift)), children, guard)
+    for n, key in enumerate(states):
+        states[n] = tuple(map(sub, key, shift))
+    return states, parent_state, parent_label

@@ -206,12 +206,11 @@ def _product_closure(
     in _embedding_closures."""
     check_convention(convention)
     ctx = chi.algebraic.context
-    rank = ctx.rank
     coroots, fund, heights = root_tables(ctx.base)
     shifted = convention == "shifted"
 
     def search(block, d):
-        return _kernel.linkage_bfs(1, rank, coroots, fund, heights, (d,), block, shifted, guard)
+        return _kernel.linkage_bfs(coroots, fund, heights, d, block, shifted, guard)
 
     closures = _embedding_closures(chi.algebraic, search, guard)
     kept = [rows if keep_row is None else list(filter(keep_row, rows)) for rows, _, _ in closures]

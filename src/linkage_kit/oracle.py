@@ -12,7 +12,7 @@ coroots.
 dot_orbit is the ungated container of every linkage closure: the orbit of
 a weight under the dot action of the Weyl group, found by closing under
 the simple reflections without enumerating the group itself, on the
-closure engine: linkage._embedding_closures driving _purekernel.bfs over
+closure engine: linkage._embedding_closures driving _kernel.bfs over
 the kernel's reflection step.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from ._purekernel import bfs, reflection_children, reflection_table
+from ._kernel import bfs, reflection_children, reflection_table
 from .linkage import DEFAULT_ORBIT_GUARD, _embedding_closures
 from .rootsys import root_tables
 from .weights_chars import (

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 and enforcing its time budget (run with `pytest -s tests/test_acceptance.py`
-to see the lines).  Budgets must hold with the pure-Python kernel, which
-is what Tier-1 runs when the compiled extension is not built."""
+to see the lines)."""
 
 import itertools
 import json

@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import linkage_kit as lk
 from linkage_kit import _kernel
+from linkage_kit.oracle import _gated_children
 from linkage_kit.rootsys import root_tables
 from linkage_kit.weights_chars import from_integer_encoding, integer_encoding
 from util import char, context, coords_set, integral_grid, simple_root_coords, weight
@@ -47,6 +49,27 @@ def test_non_integral_is_singleton():
     result = lk.strongly_linked_set(chi, "paper")
     assert result.members == frozenset({chi})
     assert result.witness[chi].steps == ()
+
+
+def test_closure_exact_on_big_integers():
+    big = 1 << 50  # products of such coordinates overflow 64-bit integers
+    chi = char(context("A_1"), [(big,)])
+    result = lk.strongly_linked_set(chi, "paper")
+    assert {c.algebraic.components[0][0] for c in result.members} == {
+        Fraction(big),
+        Fraction(-big - 2),
+    }
+
+
+def test_closure_exact_on_huge_denominators():
+    den = (1 << 21) + 1
+    chi = char(context("A_1"), [(Fraction(1, den),)])
+    result = lk.strongly_linked_set(chi, "paper")
+    assert result.members == frozenset({chi})
+
+
+def test_kernel_implementation_is_python():
+    assert lk.kernel_implementation == "python"
 
 
 def test_two_embeddings_product():
@@ -299,16 +322,18 @@ PRODUCT_GRID = [
 
 
 def joint_closure(chi, convention):
-    """The closure from one kernel search over all embeddings at once,
-    decoded; independent of the per-embedding product."""
+    """The closure from one search over all embeddings at once, on the
+    oracle's gate-and-move step, decoded; independent of the per-embedding
+    product and of the kernel's reflection step."""
     ctx = chi.algebraic.context
     coroots, fund, heights = root_tables(ctx.base)
     dens, start = integer_encoding(chi.algebraic)
     centrals = tuple(chi.algebraic.central(s) for s in range(ctx.num_embeddings))
-    states, _, _ = _kernel.linkage_bfs(
-        ctx.num_embeddings, ctx.rank, coroots, fund, heights, dens, start,
-        convention == "shifted", lk.DEFAULT_ORBIT_GUARD,
+    step = partial(
+        _gated_children, ctx.num_embeddings, ctx.rank, coroots, fund, heights, dens,
+        convention == "shifted",
     )
+    states, _, _ = _kernel.bfs(start, step, lk.DEFAULT_ORBIT_GUARD)
     return frozenset(
         lk.LocAnChar(from_integer_encoding(ctx, dens, st, centrals), chi.smooth_tag)
         for st in states

@@ -1,9 +1,10 @@
-"""The pure kernel in root coordinates, checked without the extension.
+"""The search kernel in root coordinates.
 
 The kernel's search must keep the linkage_bfs contract (states, parent
-arrays, labels and guard) of a breadth-first search over the oracle's own
-gate-and-move step, which computes every pairing as a dot product; and its
-tables must agree with the Fraction-level pairing and dot reflection.
+arrays, root-index labels and guard) of a breadth-first search over the
+oracle's own gate-and-move step, which computes every pairing as a dot
+product; and its tables must agree with the Fraction-level pairing and dot
+reflection.
 """
 
 import random
@@ -13,7 +14,7 @@ from functools import partial
 import pytest
 
 import linkage_kit as lk
-from linkage_kit import _kernel, _purekernel
+from linkage_kit import _kernel
 from linkage_kit.oracle import _gated_children
 from linkage_kit.rootsys import root_tables
 from linkage_kit.weights_chars import integer_encoding
@@ -23,9 +24,9 @@ CONTRACT_SYSTEMS = ["A_1", "A_2", "A_3", "B_2", "B_3", "C_3", "G_2", "F_4", "D_5
 CAP = 1500  # searches larger than this check that both sides raise
 
 
-def reference_bfs(num_embeddings, rank, coroots, fund, heights, dens, start, shifted, guard):
-    step = partial(_gated_children, num_embeddings, rank, coroots, fund, heights, dens, shifted)
-    return _purekernel.bfs(tuple(start), step, guard)
+def reference_bfs(rank, coroots, fund, heights, d, start, shifted, guard):
+    step = partial(_gated_children, 1, rank, coroots, fund, heights, (d,), shifted)
+    return _kernel.bfs(tuple(start), step, guard)
 
 
 @pytest.mark.parametrize("name", CONTRACT_SYSTEMS)
@@ -33,28 +34,26 @@ def reference_bfs(num_embeddings, rank, coroots, fund, heights, dens, start, shi
 def test_kernel_keeps_the_bfs_contract(name, convention):
     rng = random.Random(f"{name}/{convention}")
     coroots, fund, heights = root_tables(root_system(name))
+    ctx = context(name)
+    shifted = convention == "shifted"
     searched = 0
-    for embeddings in (1, 2, 3):
-        ctx = context(name, embeddings=embeddings)
-        for _ in range(4):
-            rows = []
-            for _sigma in range(embeddings):
-                d = rng.randint(1, 4)
-                rows.append(tuple(Fraction(rng.randint(-3 * d, 3 * d), d) for _ in range(ctx.rank)))
-            dens, start = integer_encoding(lk.WeightL(ctx, tuple(rows)))
-            args = (embeddings, ctx.rank, coroots, fund, heights, dens, start, convention == "shifted")
-            try:
-                expected = reference_bfs(*args, CAP)
-            except lk.OrbitGuardExceeded:
-                with pytest.raises(lk.OrbitGuardExceeded):
-                    _kernel.linkage_bfs(*args, CAP)
-                continue
-            n = len(expected[0])
-            assert _kernel.linkage_bfs(*args, n) == expected  # the guard at the cap
-            if n > 1:
-                with pytest.raises(lk.OrbitGuardExceeded):
-                    _kernel.linkage_bfs(*args, n - 1)
-                searched += 1
+    for _ in range(12):
+        d = rng.randint(1, 4)
+        row = tuple(Fraction(rng.randint(-3 * d, 3 * d), d) for _ in range(ctx.rank))
+        (d,), start = integer_encoding(lk.WeightL(ctx, (row,)))
+        args = (coroots, fund, heights, d, start, shifted)
+        try:
+            expected = reference_bfs(ctx.rank, *args, CAP)
+        except lk.OrbitGuardExceeded:
+            with pytest.raises(lk.OrbitGuardExceeded):
+                _kernel.linkage_bfs(*args, CAP)
+            continue
+        n = len(expected[0])
+        assert _kernel.linkage_bfs(*args, n) == expected  # the guard at the cap
+        if n > 1:
+            with pytest.raises(lk.OrbitGuardExceeded):
+                _kernel.linkage_bfs(*args, n - 1)
+            searched += 1
     assert searched >= 3
 
 
@@ -80,7 +79,7 @@ TABLE_SYSTEMS = [
 def test_reflection_tables(spec):
     rs = lk.build_root_system(spec)
     coroots, fund, heights = root_tables(rs)
-    table = _purekernel.reflection_table(coroots, fund)
+    table = _kernel.reflection_table(coroots, fund)
     nroots = len(heights)
     ctx = lk.EmbeddingContext(rs, 1, 0)
     rng = random.Random(str(spec))

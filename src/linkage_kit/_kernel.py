@@ -1,9 +1,11 @@
 """The search kernel, in root coordinates, on arbitrary-precision ints.
 
-linkage_bfs closes one embedding's block under gated dot reflections for
-linkage.strongly_linked_set and the sets built on it; its breadth-first
-search (bfs) over the reflection step (reflection_children) also closes dot
-orbits in linkage_kit.oracle.
+linkage_bfs closes one embedding's block under gated dot reflections: the
+linkage gates of linkage.strongly_linked_set and the sets built on it, or
+the orbit gates of oracle.dot_orbit.  It is the one place where gates are
+built and a block is shifted by rho and back; its breadth-first search
+(bfs) over the reflection step (reflection_children) is shared with the
+tests' reference searches.
 
 A state is one embedding's block of scaled-integer coordinates (see
 weights_chars.integer_encoding) with a fixed positive denominator d, which
@@ -33,10 +35,10 @@ class ReflectionTable(NamedTuple):
     picks: tuple[Callable, ...]
 
 
-def reflection_table(coroots, fund) -> ReflectionTable:
-    """Reflections as signed permutations of the coroot pairings, from
-    the kernel tables (coroot coefficient rows, root rows in fundamental
-    coordinates; simple roots first).
+def reflection_table(rs) -> ReflectionTable:
+    """Reflections of the root system rs as signed permutations of the
+    coroot pairings, from its coroot coefficient rows and its root rows in
+    fundamental coordinates (simple roots first).
 
     The pairings q of a shifted block with the positive coroots are laid
     out in coroot-height order, the simple coroots (the block itself)
@@ -54,7 +56,7 @@ def reflection_table(coroots, fund) -> ReflectionTable:
     (1994).  The tables are built once per root system, not once per
     search: they are cached on their contents.
     """
-    return _build_table(tuple(map(tuple, coroots)), tuple(map(tuple, fund)))
+    return _build_table(rs.coroot_coeffs, rs.root_fund)
 
 
 def _pick_one(at, E):
@@ -130,21 +132,32 @@ def bfs(start, children, guard):
     return states, parent_state, parent_label
 
 
-def linkage_bfs(coroots, fund, heights, d, start, shifted, guard):
-    """Downward closure of the block ``start`` (denominator d) under gated
-    dot reflections: bfs over reflection_children, with parent labels the
+def linkage_bfs(rs, d, start, convention, guard):
+    """Closure of the block ``start`` (denominator d) of root system rs
+    under gated dot reflections: bfs over reflection_children from the
+    rho-shifted block, with the states unshifted and parent labels the
     root indices.
 
-    The gate at root r reads q = <key, r^vee>: d must divide q, and
-    q >= d * ht(r^vee) under "paper" (the plain pairing is >= 0) or q >= 1
-    under "shifted".  Either bound excludes q = 0, so every gated
-    reflection moves the state."""
-    table = reflection_table(coroots, fund)
-    gates = [
-        (r, table.position[r], 1 if shifted else d * height, table.picks[r])
-        for r, height in enumerate(heights)
-    ]
-    children = partial(reflection_children, table.sums, gates, d)
+    Under a linkage convention the gate at root r reads q = <key, r^vee>:
+    d must divide q, and q >= d * ht(r^vee) under "paper" (the plain
+    pairing is >= 0) or q >= 1 under "shifted".  Either bound excludes
+    q = 0, so every gated reflection moves the state.  Convention None
+    gives the orbit gates: every simple reflection that moves the state,
+    that is q_i != 0, so the closure is the block's dot orbit."""
+    table = reflection_table(rs)
+    if convention is None:
+        # simple coroot i sits at place i, its negative at nroots + i
+        nroots = len(table.position)
+        gates = [(i, at, 1, table.picks[i]) for i in range(rs.rank) for at in (i, nroots + i)]
+        modulus = 1
+    else:
+        shifted = convention == "shifted"
+        gates = [
+            (r, table.position[r], 1 if shifted else d * height, table.picks[r])
+            for r, height in enumerate(rs.coroot_heights)
+        ]
+        modulus = d
+    children = partial(reflection_children, table.sums, gates, modulus)
     shift = (d,) * len(start)
     states, parent_state, parent_label = bfs(tuple(map(add, start, shift)), children, guard)
     for n, key in enumerate(states):

@@ -54,6 +54,8 @@ CLOSURE_COMMANDS = ("linkset", "factors", "candidates", "obstructions")
 # closure commands that print their members: the only ones --witness acts on
 WITNESS_COMMANDS = ("linkset", "factors", "candidates")
 
+FORMATS = ("json", "table")
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -454,18 +456,25 @@ def _parse_args(argv):
     )
     parser.add_argument("--job", help="JSON job file; supersedes all other flags")
     parser.add_argument("--root-system", help='type name ("A_2", "A_2xA_1") or JSON matrix')
-    parser.add_argument("--embeddings", type=int, default=1)
-    parser.add_argument("--central", type=int, default=0)
+    parser.add_argument("--embeddings", default="1")
+    parser.add_argument("--central", default="0")
     parser.add_argument("--parabolic", default="", help='comma-separated 1-based indices, e.g. "1,3"')
     parser.add_argument("--weight", help='coordinates per embedding, e.g. "0,0;1/2,3"')
     parser.add_argument("--smooth", default="triv", help="smooth tag of the character")
     parser.add_argument("--pi-tag", default="triv")
-    parser.add_argument("--convention", default="paper", choices=list(CONVENTIONS))
-    parser.add_argument("--command", choices=list(COMMANDS))
+    parser.add_argument("--convention", default="paper")
+    parser.add_argument("--command")
     parser.add_argument("--oracle", action="store_true")
     parser.add_argument("--witness", action="store_true")
-    parser.add_argument("--format", default="json", choices=["json", "table"])
+    parser.add_argument("--format", default="json")
     return parser.parse_args(argv)
+
+
+def _int_flag(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(field, f"not an integer: {text!r}") from None
 
 
 def _job_from_args(args) -> JobSpec:
@@ -475,7 +484,9 @@ def _job_from_args(args) -> JobSpec:
                 data = json.load(fh)
         except OSError as exc:
             raise ValidationError("job", f"cannot read job file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        # ValueError: also not UTF-8, or an integer past int's digit limit;
+        # RecursionError: arrays nested past the decoder's depth limit
+        except (ValueError, RecursionError) as exc:
             raise ValidationError("job", f"job file is not valid JSON: {exc}") from None
         return jobspec_from_dict(data)
 
@@ -487,16 +498,12 @@ def _job_from_args(args) -> JobSpec:
     if root.lstrip().startswith("["):
         try:
             root = json.loads(root)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # as for a job file
             raise ValidationError("root_system", "matrix flag is not valid JSON") from None
 
     parabolic = []
     if args.parabolic.strip():
-        for part in args.parabolic.split(","):
-            try:
-                parabolic.append(int(part))
-            except ValueError:
-                raise ValidationError("parabolic", f"not an integer: {part!r}") from None
+        parabolic = [_int_flag(part, "parabolic") for part in args.parabolic.split(",")]
 
     coords = [
         [x.strip() for x in row.split(",")] for row in args.weight.split(";")
@@ -505,8 +512,8 @@ def _job_from_args(args) -> JobSpec:
     return jobspec_from_dict(
         {
             "root_system": root,
-            "embeddings": args.embeddings,
-            "central": args.central,
+            "embeddings": _int_flag(args.embeddings, "embeddings"),
+            "central": _int_flag(args.central, "central"),
             "parabolic": parabolic,
             "character": {"coords": coords, "smooth_tag": args.smooth},
             "pi_tag": args.pi_tag,
@@ -521,6 +528,7 @@ def _job_from_args(args) -> JobSpec:
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        _expect(args.format in FORMATS, "format", f"must be one of {FORMATS}")
         job = _job_from_args(args)
         exit_code, document = run(job)
     except ValidationError as exc:

@@ -27,7 +27,6 @@ from .parabolic import (
     require_parabolic_dominant,
     row_in_lambda_p_plus,
 )
-from .rootsys import root_tables
 from .weights_chars import (
     GlobalRoot,
     LocAnChar,
@@ -155,11 +154,14 @@ class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
         return LinkageChain(tuple(steps))
 
 
-def _embedding_closures(lam: WeightL, search: Callable, guard: int) -> list[_EmbeddingClosure]:
-    """Per-embedding closures of lam: ``search(block, d)`` returns the BFS
-    tree (states, parent state, parent label) of one embedding's scaled-
-    integer block with denominator d, once per distinct (block, d); its
-    states are decoded into rows, central block appended.  Raises
+def _embedding_closures(
+    lam: WeightL, convention: str | None, guard: int
+) -> list[_EmbeddingClosure]:
+    """Per-embedding closures of lam: the kernel's linkage_bfs tree
+    (states, parent state, parent label) of each embedding's scaled-integer
+    block, under the linkage gates of ``convention`` or, for None, the
+    orbit gates; searched once per distinct (block, denominator), its
+    states decoded into rows, central block appended.  Raises
     OrbitGuardExceeded once one embedding's search, or the product of the
     closure sizes over the embeddings so far, exceeds ``guard``."""
     rank = lam.context.rank
@@ -172,7 +174,9 @@ def _embedding_closures(lam: WeightL, search: Callable, guard: int) -> list[_Emb
         found = searches.get((block, d))
         if found is None:
             try:
-                states, parent_state, parent_label = search(block, d)
+                states, parent_state, parent_label = _kernel.linkage_bfs(
+                    lam.context.base, d, block, convention, guard
+                )
             except OrbitGuardExceeded:
                 raise OrbitGuardExceeded(
                     f"search of embedding {sigma} exceeded the visited-state cap {guard}"
@@ -206,13 +210,7 @@ def _product_closure(
     in _embedding_closures."""
     check_convention(convention)
     ctx = chi.algebraic.context
-    coroots, fund, heights = root_tables(ctx.base)
-    shifted = convention == "shifted"
-
-    def search(block, d):
-        return _kernel.linkage_bfs(coroots, fund, heights, d, block, shifted, guard)
-
-    closures = _embedding_closures(chi.algebraic, search, guard)
+    closures = _embedding_closures(chi.algebraic, convention, guard)
     kept = [rows if keep_row is None else list(filter(keep_row, rows)) for rows, _, _ in closures]
     combos = itertools.product(*kept)
     next(combos)  # the origin's rows: keep the caller's object instead

@@ -1,12 +1,17 @@
 """Canonical "p/q" string form for exact rationals.
 
 q is always positive and gcd(p, q) = 1, so equal rationals serialize to
-equal strings; bare integers are accepted on input.
+equal strings.  Input is an integer or "p/q" (optional sign, surrounding
+whitespace); decimals and exponents are refused, since Fraction would
+compute 10**exp for a short text like "1e100000000".
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 def format_rational(x: Fraction) -> str:
@@ -19,9 +24,13 @@ def parse_rational(text: str | int) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed rational {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text.strip())
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {text!r}") from None
-    except ValueError:
+    except ValueError:  # an integer past int's digit limit
         raise ValueError(f"malformed rational {text!r}") from None

@@ -321,11 +321,3 @@ def build_root_system(spec: CartanSpec | str | Sequence[Sequence[int]]) -> RootS
         name=name,
     )
 
-
-def root_tables(rs: RootSystem):
-    """Integer tables consumed by the search kernels.
-
-    Returns (coroot coefficient rows, fundamental-coordinate rows, coroot
-    heights) as plain lists.
-    """
-    return list(rs.coroot_coeffs), list(rs.root_fund), list(rs.coroot_heights)

@@ -46,6 +46,15 @@ def test_malformed_rational_is_field_error():
     assert err.value.field == "character.coords[0][0]"
 
 
+@pytest.mark.parametrize("text", ["1e3", "2.5"])
+def test_only_integers_and_fractions_are_rationals(text):
+    # Fraction would accept these, and compute 10**exp for an exponent
+    with pytest.raises(ValidationError) as err:
+        make_job(character={"coords": [[text]], "smooth_tag": "t"})
+    assert err.value.field == "character.coords[0][0]"
+    assert err.value.message == f"malformed rational {text!r}"
+
+
 def test_unknown_field_rejected():
     with pytest.raises(ValidationError):
         jobspec_from_dict({"root_system": "A_1", "command": "linkset", "bogus": 1})
@@ -393,3 +402,74 @@ def test_non_parabolic_dominant_character_is_a_field_error(command, source, tmp_
     # the parabolic does not restrict the other commands
     argv = ["--root-system", "A_1", "--weight=-3", "--parabolic", "1", "--command", "linkset"]
     assert cli.main(argv) == 0
+
+
+def _validation_error(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation"
+    return error
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"root_system": "A_1", "embeddings": ' + b"1" * 5000 + b"}",
+        b'{"root_system": "A_\xff"}',
+        b'{"root_system": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    ],
+    ids=["long_integer", "not_utf8", "deeply_nested"],
+)
+def test_unreadable_job_file_is_a_job_error(content, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_bytes(content)
+    assert _validation_error(["--job", str(path)], capsys)["field"] == "job"
+
+
+@pytest.mark.parametrize(
+    "matrix", [f"[[{'2' * 5000}]]", "[" * 5000 + "]" * 5000], ids=["long_integer", "deeply_nested"]
+)
+def test_unreadable_matrix_flag_is_a_root_system_error(matrix, capsys):
+    argv = ["--root-system", matrix, "--weight", "0", "--command", "linkset"]
+    assert _validation_error(argv, capsys)["field"] == "root_system"
+
+
+@pytest.mark.parametrize(
+    "field,flag_value,job_value",
+    [
+        ("convention", "bogus", "bogus"),
+        ("command", "bogus", "bogus"),
+        ("embeddings", "1.5", 1.5),
+        ("central", "1.5", 1.5),
+    ],
+)
+def test_flag_errors_are_the_job_file_errors(field, flag_value, job_value, tmp_path, capsys):
+    # the job validator, not argparse, checks these flags: a JSON error on
+    # the same field as the job file's
+    path = tmp_path / "job.json"
+    path.write_text(
+        json.dumps(
+            {
+                "root_system": "A_1",
+                "character": {"coords": [["0"]]},
+                "command": "linkset",
+                field: job_value,
+            }
+        )
+    )
+    argv = ["--root-system", "A_1", "--weight", "0", "--command", "linkset"]
+    assert _validation_error(argv + [f"--{field}", flag_value], capsys)["field"] == field
+    assert _validation_error(["--job", str(path)], capsys)["field"] == field
+
+
+def test_unknown_format_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    job = {"root_system": "A_1", "character": {"coords": [["0"]]}, "command": "linkset"}
+    path.write_text(json.dumps(job))
+    for argv in (
+        ["--root-system", "A_1", "--weight", "0", "--command", "linkset", "--format", "xml"],
+        ["--job", str(path), "--format", "xml"],
+    ):
+        assert _validation_error(argv, capsys)["field"] == "format"

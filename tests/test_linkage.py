@@ -8,7 +8,6 @@ import pytest
 import linkage_kit as lk
 from linkage_kit import _kernel
 from linkage_kit.oracle import _gated_children
-from linkage_kit.rootsys import root_tables
 from linkage_kit.weights_chars import from_integer_encoding, integer_encoding
 from util import char, context, coords_set, integral_grid, simple_root_coords, weight
 
@@ -326,13 +325,9 @@ def joint_closure(chi, convention):
     oracle's gate-and-move step, decoded; independent of the per-embedding
     product and of the kernel's reflection step."""
     ctx = chi.algebraic.context
-    coroots, fund, heights = root_tables(ctx.base)
     dens, start = integer_encoding(chi.algebraic)
     centrals = tuple(chi.algebraic.central(s) for s in range(ctx.num_embeddings))
-    step = partial(
-        _gated_children, ctx.num_embeddings, ctx.rank, coroots, fund, heights, dens,
-        convention == "shifted",
-    )
+    step = partial(_gated_children, ctx.base, dens, convention == "shifted")
     states, _, _ = _kernel.bfs(start, step, lk.DEFAULT_ORBIT_GUARD)
     return frozenset(
         lk.LocAnChar(from_integer_encoding(ctx, dens, st, centrals), chi.smooth_tag)
@@ -357,6 +352,8 @@ def test_product_closure_matches_joint_search(name, s, central, rows, convention
     chi = char(context(name, embeddings=s, central=central), rows)
     result = lk.strongly_linked_set(chi, convention)
     assert result.members == joint_closure(chi, convention)
+    # the linkage and orbit gates of the shared kernel search agree
+    assert {m.algebraic for m in result.members} <= lk.dot_orbit(chi.algebraic)
     assert result.origin is chi
     assert any(m is chi for m in result.members)
 

@@ -28,31 +28,6 @@ def test_a2_zero_six_members():
     assert len(got) == 6
 
 
-def test_monotone_and_stabilizes():
-    ctx = context("B_2")
-    chi = char(ctx, [(1, 1)])
-    # a depth cap below the longest chain raises; from the first cap that
-    # suffices on, every cap gives the same set
-    prev = None
-    for depth in range(1, 10):
-        try:
-            cur = lk.stabilized_chain_set(chi, "paper", max_depth=depth)
-        except RuntimeError:
-            assert prev is None
-            continue
-        if prev is not None:
-            assert cur == prev
-        prev = cur
-    stable = lk.stabilized_chain_set(chi, "paper")
-    assert stable == prev
-
-
-def test_max_depth_below_longest_chain_raises():
-    chi = char(context("B_2"), [(1, 1)])
-    with pytest.raises(RuntimeError, match="within depth 1"):
-        lk.stabilized_chain_set(chi, "paper", max_depth=1)
-
-
 @pytest.mark.parametrize("convention", ["paper", "shifted"])
 def test_matches_bfs_on_small_grid(convention):
     for name in ("A_1", "A_2"):

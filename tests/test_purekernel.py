@@ -1,10 +1,10 @@
 """The search kernel in root coordinates.
 
-The kernel's search must keep the linkage_bfs contract (states, parent
-arrays, root-index labels and guard) of a breadth-first search over the
-oracle's own gate-and-move step, which computes every pairing as a dot
-product; and its tables must agree with the Fraction-level pairing and dot
-reflection.
+Under the linkage gates, the kernel's search must keep the linkage_bfs
+contract (states, parent arrays, root-index labels and guard) of a
+breadth-first search over the oracle's own gate-and-move step, which
+computes every pairing as a dot product; and its tables must agree with
+the Fraction-level pairing and dot reflection.
 """
 
 import random
@@ -16,7 +16,6 @@ import pytest
 import linkage_kit as lk
 from linkage_kit import _kernel
 from linkage_kit.oracle import _gated_children
-from linkage_kit.rootsys import root_tables
 from linkage_kit.weights_chars import integer_encoding
 from util import context, root_system
 
@@ -24,8 +23,8 @@ CONTRACT_SYSTEMS = ["A_1", "A_2", "A_3", "B_2", "B_3", "C_3", "G_2", "F_4", "D_5
 CAP = 1500  # searches larger than this check that both sides raise
 
 
-def reference_bfs(rank, coroots, fund, heights, d, start, shifted, guard):
-    step = partial(_gated_children, 1, rank, coroots, fund, heights, (d,), shifted)
+def reference_bfs(rs, d, start, convention, guard):
+    step = partial(_gated_children, rs, (d,), convention == "shifted")
     return _kernel.bfs(tuple(start), step, guard)
 
 
@@ -33,17 +32,16 @@ def reference_bfs(rank, coroots, fund, heights, d, start, shifted, guard):
 @pytest.mark.parametrize("convention", ["paper", "shifted"])
 def test_kernel_keeps_the_bfs_contract(name, convention):
     rng = random.Random(f"{name}/{convention}")
-    coroots, fund, heights = root_tables(root_system(name))
+    rs = root_system(name)
     ctx = context(name)
-    shifted = convention == "shifted"
     searched = 0
     for _ in range(12):
         d = rng.randint(1, 4)
         row = tuple(Fraction(rng.randint(-3 * d, 3 * d), d) for _ in range(ctx.rank))
         (d,), start = integer_encoding(lk.WeightL(ctx, (row,)))
-        args = (coroots, fund, heights, d, start, shifted)
+        args = (rs, d, start, convention)
         try:
-            expected = reference_bfs(ctx.rank, *args, CAP)
+            expected = reference_bfs(*args, CAP)
         except lk.OrbitGuardExceeded:
             with pytest.raises(lk.OrbitGuardExceeded):
                 _kernel.linkage_bfs(*args, CAP)
@@ -78,8 +76,8 @@ TABLE_SYSTEMS = [
 @pytest.mark.parametrize("spec", TABLE_SYSTEMS, ids=str)
 def test_reflection_tables(spec):
     rs = lk.build_root_system(spec)
-    coroots, fund, heights = root_tables(rs)
-    table = _kernel.reflection_table(coroots, fund)
+    coroots, heights = rs.coroot_coeffs, rs.coroot_heights
+    table = _kernel.reflection_table(rs)
     nroots = len(heights)
     ctx = lk.EmbeddingContext(rs, 1, 0)
     rng = random.Random(str(spec))

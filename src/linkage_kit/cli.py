@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Jobs arrive either as flags or as a JSON job file (--job supersedes
-flags); output is a deterministic JSON document on stdout (sorted keys,
-canonical "p/q" rationals, no timestamps), errors are structured JSON on
-stderr.  Exit codes: 0 success, 2 validation error, 3 guard exhaustion,
+flags); output is a deterministic JSON document on stdout, byte for byte
+``json.dumps(document, indent=2, sort_keys=True)`` (canonical "p/q"
+rationals, no timestamps), errors are structured JSON on stderr in the
+same form.  Exit codes: 0 success, 2 validation error, 3 guard exhaustion,
 4 oracle disagreement; an internal fault (an error no input can cause)
 ends the process with a traceback, status 1.
 """
@@ -16,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     InvalidCartan,
@@ -395,7 +397,43 @@ def run(job: JobSpec) -> tuple[int, dict]:
 
 
 def render_json(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True)
+    """Exactly ``json.dumps(document, indent=2, sort_keys=True)``.
+
+    ``indent`` sends ``json.dumps`` down its pure-Python encoder; this
+    writer emits the same bytes in fewer steps.  Keys must be strings.
+    """
+    parts: list[str] = []
+    _encode(document, "\n", parts.append)
+    return "".join(parts)
+
+
+def _encode(value, newline: str, emit) -> None:
+    if isinstance(value, str):
+        emit(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            emit(sep + _quote(key) + ": ")
+            _encode(value[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _encode(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    else:  # numbers, booleans and None; anything else raises TypeError
+        emit(json.dumps(value))
 
 
 def render_table(document: dict) -> str:
@@ -448,26 +486,28 @@ def _error_document(code: str, message: str, field: str | None = None) -> dict:
     return {"schema": SCHEMA, "error": err}
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="linkage-kit",
+    description="Exact strong-linkage combinatorics: linkage closures, Verma "
+    "factor sets, parabolic candidates and non-criticality obstructions.",
+)
+_PARSER.add_argument("--job", help="JSON job file; supersedes all other flags")
+_PARSER.add_argument("--root-system", help='type name ("A_2", "A_2xA_1") or JSON matrix')
+_PARSER.add_argument("--embeddings", default="1")
+_PARSER.add_argument("--central", default="0")
+_PARSER.add_argument("--parabolic", default="", help='comma-separated 1-based indices, e.g. "1,3"')
+_PARSER.add_argument("--weight", help='coordinates per embedding, e.g. "0,0;1/2,3"')
+_PARSER.add_argument("--smooth", default="triv", help="smooth tag of the character")
+_PARSER.add_argument("--pi-tag", default="triv")
+_PARSER.add_argument("--convention", default="paper")
+_PARSER.add_argument("--command")
+_PARSER.add_argument("--oracle", action="store_true")
+_PARSER.add_argument("--witness", action="store_true")
+_PARSER.add_argument("--format", default="json")
+
+
 def _parse_args(argv):
-    parser = argparse.ArgumentParser(
-        prog="linkage-kit",
-        description="Exact strong-linkage combinatorics: linkage closures, Verma "
-        "factor sets, parabolic candidates and non-criticality obstructions.",
-    )
-    parser.add_argument("--job", help="JSON job file; supersedes all other flags")
-    parser.add_argument("--root-system", help='type name ("A_2", "A_2xA_1") or JSON matrix')
-    parser.add_argument("--embeddings", default="1")
-    parser.add_argument("--central", default="0")
-    parser.add_argument("--parabolic", default="", help='comma-separated 1-based indices, e.g. "1,3"')
-    parser.add_argument("--weight", help='coordinates per embedding, e.g. "0,0;1/2,3"')
-    parser.add_argument("--smooth", default="triv", help="smooth tag of the character")
-    parser.add_argument("--pi-tag", default="triv")
-    parser.add_argument("--convention", default="paper")
-    parser.add_argument("--command")
-    parser.add_argument("--oracle", action="store_true")
-    parser.add_argument("--witness", action="store_true")
-    parser.add_argument("--format", default="json")
-    return parser.parse_args(argv)
+    return _PARSER.parse_args(argv)
 
 
 def _int_flag(text: str, field: str) -> int:

@@ -15,7 +15,8 @@ _RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -15,6 +15,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import IndexOutOfRange, InvalidCartan, RankMismatch
@@ -273,6 +274,9 @@ def build_root_system(spec: CartanSpec | str | Sequence[Sequence[int]]) -> RootS
 
     Positive roots are generated by closing the simple roots under simple
     reflections; construction rejects matrices that are not finite type.
+    The spec is parsed and validated on every call; the construction is
+    done once per (matrix, canonical name), so equal specs return the same
+    object.
     """
     if not isinstance(spec, CartanSpec):
         spec = CartanSpec(spec)
@@ -289,7 +293,14 @@ def build_root_system(spec: CartanSpec | str | Sequence[Sequence[int]]) -> RootS
 
     if spec.rank is not None and spec.rank != len(matrix):
         raise RankMismatch(f"declared rank {spec.rank}, matrix has rank {len(matrix)}")
+    return _root_system(matrix, name)
 
+
+@lru_cache(maxsize=64)
+def _root_system(matrix: IntMatrix, name: str | None) -> RootSystem:
+    """Check, generate and construct for a validated matrix.  RootSystem is
+    immutable, so the result is cached on the inputs; an error is not
+    cached and is raised again on every call."""
     _check_finite_type(matrix)
     positive, coroots = _generate_positive_roots(matrix)
 

@@ -473,3 +473,91 @@ def test_unknown_format_is_a_format_error(tmp_path, capsys):
         ["--job", str(path), "--format", "xml"],
     ):
         assert _validation_error(argv, capsys)["field"] == "format"
+
+
+def test_render_json_is_json_dumps_on_a_hand_built_document():
+    doc = {
+        "zeta": [[], {}, [{}], {"empty": []}],
+        "alpha": ("tuple", 1, ("nested",)),
+        "Mid": {"b": None, "a": True, "c": False},
+        "text": ['quote " backslash \\ newline \n tab \t', "\x00\x1f\x7f", "é ü 漢 \U0001d11e"],
+        "big": -123456789012345678901234567890,
+        "zero": 0,
+        "": "empty key",
+    }
+    assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    for value in ([], {}, "", 7, None, [[]]):
+        assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_render_json_refuses_what_json_dumps_refuses():
+    for doc in ({"x": Fraction(1, 2)}, [Fraction(1)]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            render_json(doc)
+
+
+def _seeded_documents(monkeypatch):
+    """Every document ``run()`` returns on a seeded job set over all six
+    commands, plus the validation and guard error documents."""
+    import random
+
+    import linkage_kit
+
+    rng = random.Random(11)
+    systems = [("A_1", 1), ("A_2", 2), ("B_2", 2), ("G_2", 2)]
+    docs = []
+    for n in range(90):
+        command = cli.COMMANDS[n % len(cli.COMMANDS)]
+        name, rank = rng.choice(systems)
+        embeddings = rng.choice((1, 2))
+        central = rng.choice((0, 1))
+        coords = [
+            [rng.choice(("0", "1", "2", "-1", "1/2", "-5/3")) for _ in range(rank + central)]
+            for _ in range(embeddings)
+        ]
+        job = {
+            "root_system": name,
+            "embeddings": embeddings,
+            "central": central,
+            "parabolic": [i + 1 for i in range(rank) if rng.random() < 0.5],
+            "character": {"coords": coords, "smooth_tag": rng.choice(("t", "θ", 'q"\\'))},
+            "convention": rng.choice(("paper", "shifted")),
+            "command": command,
+            "oracle": command in cli.CLOSURE_COMMANDS and rng.random() < 0.5,
+            "witness": command in cli.WITNESS_COMMANDS and rng.random() < 0.5,
+        }
+        monkeypatch.setenv("LINKAGE_ORBIT_GUARD", "3" if n % 7 == 0 else "1000000")
+        try:
+            docs.append(run(jobspec_from_dict(job))[1])
+        except ValidationError as exc:
+            docs.append(cli._error_document("validation", exc.message, exc.field))
+        except linkage_kit.OrbitGuardExceeded as exc:
+            docs.append(cli._error_document("guard", str(exc)))
+    return docs
+
+
+def test_render_json_is_json_dumps_on_every_run_document(monkeypatch):
+    docs = _seeded_documents(monkeypatch)
+    kinds = {d["error"]["code"] if "error" in d else d["job"]["command"] for d in docs}
+    assert kinds == {*cli.COMMANDS, "validation", "guard"}
+    assert any(d.get("job", {}).get("witness") for d in docs)
+    assert any(d.get("oracle", {}).get("checked") for d in docs)
+    for doc in docs:
+        assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_parser_is_reused_without_state(capsys):
+    base = ["--root-system", "A_1", "--weight", "2", "--command", "linkset"]
+    assert cli.main(base + ["--witness", "--oracle", "--format", "table"]) == 0
+    assert capsys.readouterr().out.startswith("command: linkset")
+    assert cli.main(base) == 0
+    job = json.loads(capsys.readouterr().out)["job"]
+    assert job["witness"] is False and job["oracle"] is False
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(base + ["--bogus"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert cli.main(base) == 0
+    assert json.loads(capsys.readouterr().out)["job"]["witness"] is False

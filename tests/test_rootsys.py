@@ -205,3 +205,20 @@ def test_reflection_adjoint_identity(name):
                 v = perms[i][p]
                 sign, q = (1, v - 1) if v > 0 else (-1, -v - 1)
                 assert rs.pairing(refl, p) == sign * rs.pairing(lam, q)
+
+
+def test_cache_keeps_validation_per_call():
+    lk.build_root_system("A_2")
+    with pytest.raises(lk.RankMismatch):
+        lk.build_root_system(lk.CartanSpec("A_2", rank=3))
+    affine = [[2, -2], [-2, 2]]  # symmetrizable, but affine A_1
+    for _ in range(2):
+        with pytest.raises(lk.InvalidCartan):
+            lk.build_root_system(affine)
+
+
+def test_cache_is_keyed_on_the_canonical_spec():
+    assert lk.build_root_system([[2, -1], [-1, 2]]) == lk.build_root_system(((2, -1), (-1, 2)))
+    assert lk.build_root_system([[2, -1], [-1, 2]]).name is None
+    assert lk.build_root_system("A2") == lk.build_root_system("A_2")
+    assert lk.build_root_system("A2").name == "A_2"

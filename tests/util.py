@@ -5,13 +5,9 @@ from itertools import product
 
 import linkage_kit as lk
 
-_RS_CACHE = {}
-
 
 def root_system(name):
-    if name not in _RS_CACHE:
-        _RS_CACHE[name] = lk.build_root_system(name)
-    return _RS_CACHE[name]
+    return lk.build_root_system(name)
 
 
 def context(name, embeddings=1, central=0):

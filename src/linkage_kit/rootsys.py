@@ -275,8 +275,7 @@ def build_root_system(spec: CartanSpec | str | Sequence[Sequence[int]]) -> RootS
     Positive roots are generated by closing the simple roots under simple
     reflections; construction rejects matrices that are not finite type.
     The spec is parsed and validated on every call; the construction is
-    done once per (matrix, canonical name), so equal specs return the same
-    object.
+    cached on (validated matrix, canonical name).
     """
     if not isinstance(spec, CartanSpec):
         spec = CartanSpec(spec)

@@ -1,7 +1,11 @@
 """Command-line frontend.
 
 Jobs arrive either as flags or as a JSON job file (--job supersedes
-flags); output is a deterministic JSON document on stdout, byte for byte
+flags).  Either way the job is a plain dict, its own document in normal
+form (``jobspec_from_dict``); the commands read it, and the output echoes
+it under "job" with the root system in canonical form.  Parsing the echo
+again returns it unchanged.  Output is a deterministic JSON document on
+stdout, byte for byte
 ``json.dumps(document, indent=2, sort_keys=True)`` (canonical "p/q"
 rationals, no timestamps), errors are structured JSON on stderr in the
 same form.  Exit codes: 0 success, 2 validation error, 3 guard exhaustion,
@@ -15,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -28,11 +31,11 @@ from .errors import (
 from .linkage import (
     DEFAULT_ORBIT_GUARD,
     LinkageResult,
-    char_sort_key,
     noncritical_obstruction_set,
     strongly_linked_set,
     verma_factor_candidates,
     verma_factors_borel,
+    weight_sort_key,
 )
 from .oracle import dot_orbit, stabilized_chain_set
 from .parabolic import ParabolicSubset, in_lambda_p_plus
@@ -41,7 +44,6 @@ from .rootsys import build_root_system
 from .weights_chars import (
     CONVENTIONS,
     EmbeddingContext,
-    GlobalRoot,
     LocAnChar,
     WeightL,
     global_pairing,
@@ -71,43 +73,6 @@ class ValidationError(LinkageKitError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """Normalized job description; to_dict/from_dict round-trip exactly."""
-
-    root_system: str | tuple[tuple[int, ...], ...]
-    embeddings: int
-    central: int
-    parabolic: tuple[int, ...]  # 1-based simple-root indices, sorted
-    coords: tuple[tuple[str, ...], ...]  # canonical "p/q" strings per embedding
-    smooth_tag: str
-    pi_tag: str
-    convention: str
-    command: str
-    oracle: bool
-    witness: bool
-
-    def to_dict(self) -> dict:
-        root = self.root_system
-        if not isinstance(root, str):
-            root = [list(row) for row in root]
-        return {
-            "root_system": root,
-            "embeddings": self.embeddings,
-            "central": self.central,
-            "parabolic": list(self.parabolic),
-            "character": {
-                "coords": [list(row) for row in self.coords],
-                "smooth_tag": self.smooth_tag,
-            },
-            "pi_tag": self.pi_tag,
-            "convention": self.convention,
-            "command": self.command,
-            "oracle": self.oracle,
-            "witness": self.witness,
-        }
-
-
 def _expect(condition: bool, field: str, message: str) -> None:
     if not condition:
         raise ValidationError(field, message)
@@ -125,7 +90,14 @@ def _as_int(value, field: str, minimum: int | None = None) -> int:
     return value
 
 
-def jobspec_from_dict(data: dict) -> JobSpec:
+def jobspec_from_dict(data: dict) -> dict:
+    """Validate a job document and return the job in normal form.
+
+    The normal form is itself a job document (plain lists, ints, strings
+    and booleans): every field present, ``parabolic`` sorted without
+    repeats, coordinates as canonical "p/q" strings.  Parsing it again
+    returns an equal dict.
+    """
     _expect(isinstance(data, dict), "job", "job document must be a JSON object")
     known = {
         "schema",
@@ -144,17 +116,18 @@ def jobspec_from_dict(data: dict) -> JobSpec:
         _expect(key in known, key, "unknown job field")
     _expect(data.get("schema", SCHEMA) == SCHEMA, "schema", f"must be {SCHEMA!r}")
 
-    root = data.get("root_system")
-    if isinstance(root, str):
-        root_system: str | tuple = root
-    elif isinstance(root, (list, tuple)):
+    root_system = data.get("root_system")
+    if isinstance(root_system, (list, tuple)):
         _expect(
-            all(isinstance(row, (list, tuple)) and all(type(v) is int for v in row) for row in root),
+            all(
+                isinstance(row, (list, tuple)) and all(type(v) is int for v in row)
+                for row in root_system
+            ),
             "root_system",
             "matrix entries must be integers",
         )
-        root_system = tuple(tuple(row) for row in root)
-    else:
+        root_system = [list(row) for row in root_system]
+    elif not isinstance(root_system, str):
         raise ValidationError("root_system", "expected a type name or an integer matrix")
 
     embeddings = _as_int(data.get("embeddings", 1), "embeddings", minimum=1)
@@ -162,9 +135,7 @@ def jobspec_from_dict(data: dict) -> JobSpec:
 
     raw_parabolic = data.get("parabolic", [])
     _expect(isinstance(raw_parabolic, (list, tuple)), "parabolic", "expected a list of indices")
-    parabolic = tuple(
-        sorted({_as_int(i, "parabolic", minimum=1) for i in raw_parabolic})
-    )
+    parabolic = sorted({_as_int(i, "parabolic", minimum=1) for i in raw_parabolic})
 
     character = data.get("character")
     _expect(isinstance(character, dict), "character", "expected an object with coords and smooth_tag")
@@ -186,7 +157,7 @@ def jobspec_from_dict(data: dict) -> JobSpec:
                 parsed.append(format_rational(parse_rational(text)))
             except ValueError as exc:
                 raise ValidationError(f"character.coords[{s}][{k}]", str(exc)) from None
-        coords.append(tuple(parsed))
+        coords.append(parsed)
     smooth_tag = character.get("smooth_tag", "triv")
     _expect(isinstance(smooth_tag, str), "character.smooth_tag", "expected a string")
 
@@ -211,55 +182,58 @@ def jobspec_from_dict(data: dict) -> JobSpec:
             f"not supported by the {command} command; only by {', '.join(commands)}",
         )
 
-    return JobSpec(
-        root_system=root_system,
-        embeddings=embeddings,
-        central=central,
-        parabolic=parabolic,
-        coords=tuple(coords),
-        smooth_tag=smooth_tag,
-        pi_tag=pi_tag,
-        convention=convention,
-        command=command,
-        oracle=oracle,
-        witness=witness,
-    )
+    return {
+        "root_system": root_system,
+        "embeddings": embeddings,
+        "central": central,
+        "parabolic": parabolic,
+        "character": {"coords": coords, "smooth_tag": smooth_tag},
+        "pi_tag": pi_tag,
+        "convention": convention,
+        "command": command,
+        "oracle": oracle,
+        "witness": witness,
+    }
 
 
-def _normalize_job(job: JobSpec):
-    """Resolve the job against actual root-system data; returns the
-    normalized JobSpec plus the live objects the commands run on."""
+def _normalize_job(job: dict):
+    """Resolve the job against actual root-system data.
+
+    Returns the job with its root system in canonical form (the type name
+    as ``build_root_system`` spells it, or the matrix) as a new dict, plus
+    the live objects the commands run on; ``job`` itself is not changed.
+    """
     try:
-        rs = build_root_system(job.root_system)
+        rs = build_root_system(job["root_system"])
     except (InvalidCartan, RankMismatch) as exc:
         raise ValidationError("root_system", str(exc)) from None
 
-    for i in job.parabolic:
+    for i in job["parabolic"]:
         _expect(i <= rs.rank, "parabolic", f"index {i} exceeds rank {rs.rank}")
 
-    ctx = EmbeddingContext(rs, job.embeddings, job.central)
+    ctx = EmbeddingContext(rs, job["embeddings"], job["central"])
     dim = ctx.dim
     rows = []
-    for s, row in enumerate(job.coords):
+    for s, row in enumerate(job["character"]["coords"]):
         _expect(
             len(row) == dim,
             f"character.coords[{s}]",
-            f"expected {dim} coordinates (rank {rs.rank} + central {job.central}), got {len(row)}",
+            f"expected {dim} coordinates (rank {rs.rank} + central {job['central']}), "
+            f"got {len(row)}",
         )
         rows.append(tuple(Fraction(x) for x in row))
-    chi = LocAnChar(WeightL(ctx, tuple(rows)), job.smooth_tag)
-    parabolic = ParabolicSubset(ctx, frozenset(i - 1 for i in job.parabolic))
-    if job.command in ("candidates", "obstructions"):  # both need a parabolic-dominant character
+    chi = LocAnChar(WeightL(ctx, tuple(rows)), job["character"]["smooth_tag"])
+    parabolic = ParabolicSubset(ctx, frozenset(i - 1 for i in job["parabolic"]))
+    # candidates and obstructions both need a parabolic-dominant character
+    if job["command"] in ("candidates", "obstructions"):
         _expect(
             in_lambda_p_plus(chi.algebraic, parabolic),
             "character.coords",
             "character is not dominant-integral for the parabolic subset",
         )
 
-    normalized = replace(
-        job, root_system=rs.name if rs.name is not None else rs.cartan
-    )
-    return normalized, ctx, chi, parabolic
+    root_system = rs.name if rs.name is not None else [list(row) for row in rs.cartan]
+    return {**job, "root_system": root_system}, ctx, chi, parabolic
 
 
 def _coords_doc(weight: WeightL) -> list[list[str]]:
@@ -298,35 +272,30 @@ def _orbit_guard() -> int:
     return guard
 
 
-def run(job: JobSpec) -> tuple[int, dict]:
-    """Execute a job; returns (exit code, output document)."""
+def run(job: dict) -> tuple[int, dict]:
+    """Execute a job in normal form (as ``jobspec_from_dict`` returns it);
+    returns (exit code, output document).  ``job`` is not changed."""
     job, ctx, chi, parabolic = _normalize_job(job)
     guard = _orbit_guard()
-    convention = job.convention
+    command = job["command"]
+    convention = job["convention"]
 
     oracle_doc: dict = {"checked": False, "agrees": None, "count": None}
     result_doc: dict
 
-    if job.command in ("linkset", "factors"):
-        result = (strongly_linked_set if job.command == "linkset" else verma_factors_borel)(
-            chi, convention, guard=guard
-        )
-        result_doc = {
-            "members": _members_doc(result, job.witness),
-            "count": len(result),
-        }
+    if command in WITNESS_COMMANDS:  # the closure commands that list their members
+        if command == "candidates":
+            result = verma_factor_candidates(chi, parabolic, convention, guard=guard)
+        else:
+            closure = strongly_linked_set if command == "linkset" else verma_factors_borel
+            result = closure(chi, convention, guard=guard)
+        result_doc = {"members": _members_doc(result, job["witness"]), "count": len(result)}
+        if command == "candidates":
+            result_doc["upper_bound"] = result.upper_bound
         base_members = result.members
-    elif job.command == "candidates":
-        result = verma_factor_candidates(chi, parabolic, convention, guard=guard)
-        result_doc = {
-            "members": _members_doc(result, job.witness),
-            "count": len(result),
-            "upper_bound": result.upper_bound,
-        }
-        base_members = result.members
-    elif job.command == "obstructions":
+    elif command == "obstructions":
         obstructions = noncritical_obstruction_set(
-            chi, parabolic, job.pi_tag, convention, guard=guard
+            chi, parabolic, job["pi_tag"], convention, guard=guard
         )
         result_doc = {
             "obstructions": [
@@ -342,7 +311,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
             "upper_bound": bool(parabolic.indices),
         }
         base_members = frozenset(m for m, _ in obstructions)
-    elif job.command == "dominance":
+    elif command == "dominance":
         roots_doc = []
         for r in ctx.global_roots():
             pairing = global_pairing(chi.algebraic, r)
@@ -361,26 +330,21 @@ def run(job: JobSpec) -> tuple[int, dict]:
             "roots": roots_doc,
             "in_lambda_p_plus": in_lambda_p_plus(chi.algebraic, parabolic),
         }
-        base_members = None
     else:  # orbit
-        orbit = dot_orbit(chi.algebraic, size_guard=guard)
-        rows = sorted(
-            orbit, key=lambda w: tuple((x.numerator, x.denominator) for r in w.components for x in r)
-        )
+        orbit = sorted(dot_orbit(chi.algebraic, size_guard=guard), key=weight_sort_key)
         result_doc = {
-            "members": [{"coords": _coords_doc(w)} for w in rows],
-            "count": len(rows),
+            "members": [{"coords": _coords_doc(w)} for w in orbit],
+            "count": len(orbit),
         }
-        base_members = None
 
     exit_code = EXIT_OK
-    if job.oracle and job.command in CLOSURE_COMMANDS:
+    if job["oracle"]:  # set only on the closure commands, which set base_members
         oracle_set = stabilized_chain_set(chi, convention)
-        if job.command in ("candidates", "obstructions"):
+        if command in ("candidates", "obstructions"):
             oracle_set = frozenset(
                 m for m in oracle_set if in_lambda_p_plus(m.algebraic, parabolic)
             )
-        if job.command == "obstructions":
+        if command == "obstructions":
             oracle_set = frozenset(m for m in oracle_set if m != chi)
         agrees = oracle_set == base_members
         oracle_doc = {"checked": True, "agrees": agrees, "count": len(oracle_set)}
@@ -389,7 +353,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
 
     document = {
         "schema": SCHEMA,
-        "job": job.to_dict(),
+        "job": job,
         "result": result_doc,
         "oracle": oracle_doc,
     }
@@ -517,7 +481,7 @@ def _int_flag(text: str, field: str) -> int:
         raise ValidationError(field, f"not an integer: {text!r}") from None
 
 
-def _job_from_args(args) -> JobSpec:
+def _job_from_args(args) -> dict:
     if args.job:
         try:
             with open(args.job, "r", encoding="utf-8") as fh:

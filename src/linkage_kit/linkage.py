@@ -42,13 +42,16 @@ from .weights_chars import (
 DEFAULT_ORBIT_GUARD = 10**6
 
 
+def weight_sort_key(lam: WeightL):
+    """Lexicographic key on all coordinates as (num, den) pairs; fixes the
+    order of weight lists in output."""
+    return tuple((x.numerator, x.denominator) for row in lam.components for x in row)
+
+
 def char_sort_key(chi: LocAnChar):
-    """Lexicographic key on algebraic coordinates as (num, den) pairs,
-    then the smooth tag; fixes the output order everywhere."""
-    coords = tuple(
-        (x.numerator, x.denominator) for row in chi.algebraic.components for x in row
-    )
-    return (coords, chi.smooth_tag)
+    """The weight key of the algebraic part, then the smooth tag; fixes the
+    output order of character lists everywhere."""
+    return (weight_sort_key(chi.algebraic), chi.smooth_tag)
 
 
 @dataclass(frozen=True)

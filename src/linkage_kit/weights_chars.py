@@ -90,6 +90,15 @@ class GlobalRoot:
     root_index: int
 
 
+def _exact(x) -> Fraction:
+    """An int or a Fraction as a Fraction.  Anything else is refused: a
+    float would enter as its binary fraction and a string through
+    Fraction's decimal and exponent grammar."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"weight coordinates must be int or Fraction, not {type(x).__name__}")
+
+
 @dataclass(frozen=True)
 class WeightL:
     """Element of the weight space: one rational vector per embedding, in
@@ -100,7 +109,7 @@ class WeightL:
 
     def __post_init__(self):
         rows = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            tuple(x if type(x) is Fraction else _exact(x) for x in row)
             for row in self.components
         )
         if len(rows) != self.context.num_embeddings:

@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import linkage_kit.cli as cli
-from linkage_kit.cli import JobSpec, ValidationError, jobspec_from_dict, render_json, run
+from linkage_kit.cli import ValidationError, jobspec_from_dict, render_json, run
 
 
 def make_job(**overrides):
@@ -157,6 +158,37 @@ def test_oracle_filtered_commands():
     assert doc["result"]["count"] == 0
     assert doc["result"]["unconditionally_noncritical"] is True
     assert doc["oracle"]["agrees"] is True
+
+
+def test_oracle_agrees_on_candidates_and_factors():
+    b2 = {"root_system": "B_2", "character": {"coords": [["1", "0"]], "smooth_tag": "t"}}
+    # the parabolic filter drops members of the closure, and the filtered
+    # oracle set must still match
+    _, closure = run(make_job(command="linkset", **b2))
+    code, doc = run(make_job(command="candidates", parabolic=[1], oracle=True, **b2))
+    assert code == 0
+    assert doc["oracle"]["agrees"] is True
+    assert doc["oracle"]["count"] == doc["result"]["count"]
+    assert doc["result"]["count"] < closure["result"]["count"]
+
+    code, doc = run(make_job(command="factors", oracle=True, **b2))
+    assert code == 0
+    assert doc["oracle"]["agrees"] is True
+    assert doc["oracle"]["count"] == doc["result"]["count"]
+
+
+@pytest.mark.parametrize(
+    "root_system,echoed",
+    [("A1xA1", "A_1xA_1"), ([[2, 0], [0, 2]], [[2, 0], [0, 2]])],
+)
+def test_run_leaves_its_job_unchanged(root_system, echoed):
+    job = make_job(root_system=root_system, command="linkset",
+                   character={"coords": [["1", "0"]], "smooth_tag": "t"})
+    before = copy.deepcopy(job)
+    code, doc = run(job)
+    assert code == 0
+    assert job == before
+    assert doc["job"]["root_system"] == echoed
 
 
 def test_guard_env_override(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,25 @@ def test_weight_validation():
         lk.WeightL(ctx, ((0, 0), (0, 0)))  # wrong component count
     with pytest.raises(ValueError):
         lk.EmbeddingContext(ctx.base, 0)
+
+
+@pytest.mark.parametrize(
+    "bad", [0.1, True, "1/2", Decimal("0.5")], ids=["float", "bool", "str", "Decimal"]
+)
+def test_weight_coordinates_are_exact_numbers_only(bad):
+    # a float would enter as its binary fraction, a string or Decimal
+    # through Fraction's decimal and exponent grammar
+    ctx = context("A_2")
+    with pytest.raises(TypeError):
+        lk.WeightL(ctx, ((bad, 0),))
+
+
+def test_int_and_fraction_coordinates_give_equal_weights():
+    ctx = context("A_2", embeddings=2)
+    a = lk.WeightL(ctx, ((1, -2), (0, 3)))
+    b = lk.WeightL(ctx, ((Fraction(1), Fraction(-4, 2)), (Fraction(0), Fraction(3))))
+    assert a == b and hash(a) == hash(b)
+    assert all(type(x) is Fraction for row in a.components for x in row)
 
 
 def test_integer_encoding_round_trip():

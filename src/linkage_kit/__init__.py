@@ -29,7 +29,7 @@ from .linkage import (
     verma_factor_candidates,
     verma_factors_borel,
 )
-from .oracle import dot_orbit, stabilized_chain_set
+from .oracle import dot_orbit, stabilized_chain_set, verify_closure
 from .parabolic import ParabolicSubset, central_class_key, equal_on_center, in_lambda_p_plus
 from .rootsys import (
     CartanSpec,
@@ -94,4 +94,5 @@ __all__ = [
     "up_link_candidates",
     "verma_factor_candidates",
     "verma_factors_borel",
+    "verify_closure",
 ]

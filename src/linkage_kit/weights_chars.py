@@ -144,22 +144,6 @@ class WeightL:
     def central(self, sigma: int) -> tuple[Fraction, ...]:
         return self.components[sigma][self.context.rank :]
 
-    def __add__(self, other: WeightL) -> WeightL:
-        require_same_context(self.context, other.context)
-        rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.components, other.components)
-        )
-        return WeightL(self.context, rows)
-
-    def __sub__(self, other: WeightL) -> WeightL:
-        require_same_context(self.context, other.context)
-        rows = tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.components, other.components)
-        )
-        return WeightL(self.context, rows)
-
 
 @dataclass(frozen=True)
 class LocAnChar:

@@ -1,15 +1,10 @@
 import itertools
-import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 import linkage_kit as lk
-from linkage_kit import _kernel
-from linkage_kit.oracle import _gated_children
-from linkage_kit.weights_chars import from_integer_encoding, integer_encoding
-from util import char, context, coords_set, integral_grid, simple_root_coords, weight
+from util import char, context, coords_set, integral_grid, simple_root_coords
 
 
 def members_coords(result):
@@ -211,19 +206,8 @@ def test_witness_chains_replay(name, s, rows, convention):
     ctx = context(name, embeddings=s)
     chi = char(ctx, rows)
     result = lk.strongly_linked_set(chi, convention)
-    for member in result.members:
-        chain = result.witness[member]
-        cur = chi
-        for root, step_char in chain.steps:
-            assert lk.is_alpha_dominant(cur, root, convention)
-            nxt = lk.dot_reflect_char(cur, root)
-            assert nxt == step_char
-            cur = nxt
-        assert cur == member
-        if member == chi:
-            assert chain.steps == ()
-        else:
-            assert len(chain.steps) >= 1
+    assert lk.verify_closure(result)
+    assert result.witness[chi].steps == ()
 
 
 def test_closure_transitivity():
@@ -320,38 +304,13 @@ PRODUCT_GRID = [
 ]
 
 
-def joint_closure(chi, convention):
-    """The closure from one search over all embeddings at once, on the
-    oracle's gate-and-move step, decoded; independent of the per-embedding
-    product and of the kernel's reflection step."""
-    ctx = chi.algebraic.context
-    dens, start = integer_encoding(chi.algebraic)
-    centrals = tuple(chi.algebraic.central(s) for s in range(ctx.num_embeddings))
-    step = partial(_gated_children, ctx.base, dens, convention == "shifted")
-    states, _, _ = _kernel.bfs(start, step, lk.DEFAULT_ORBIT_GUARD)
-    return frozenset(
-        lk.LocAnChar(from_integer_encoding(ctx, dens, st, centrals), chi.smooth_tag)
-        for st in states
-    )
-
-
-def replays(origin, chain, member, convention):
-    cur = origin
-    for root, step_char in chain.steps:
-        if not lk.is_alpha_dominant(cur, root, convention):
-            return False
-        cur = lk.dot_reflect_char(cur, root)
-        if cur != step_char:
-            return False
-    return cur == member
-
-
 @pytest.mark.parametrize("name,s,central,rows", PRODUCT_GRID)
 @pytest.mark.parametrize("convention", ["paper", "shifted"])
 def test_product_closure_matches_joint_search(name, s, central, rows, convention):
     chi = char(context(name, embeddings=s, central=central), rows)
     result = lk.strongly_linked_set(chi, convention)
-    assert result.members == joint_closure(chi, convention)
+    assert result.members == lk.stabilized_chain_set(chi, convention)
+    assert lk.verify_closure(result)
     # the linkage and orbit gates of the shared kernel search agree
     assert {m.algebraic for m in result.members} <= lk.dot_orbit(chi.algebraic)
     assert result.origin is chi
@@ -367,8 +326,7 @@ def test_lazy_witness_contract(name, s, central, rows, convention):
     assert set(witness) == result.members
     assert len(witness) == len(result.members)
     assert witness[chi].steps == ()
-    for member in result.members:
-        assert replays(chi, witness[member], member, convention)
+    assert lk.verify_closure(result)
 
     outsider = lk.LocAnChar(chi.algebraic, chi.smooth_tag + "'")
     assert outsider not in witness
@@ -400,13 +358,14 @@ def test_candidate_witnesses_are_the_kept_members(name, s, central, rows, index,
     chi = char(ctx, rows)
     p = lk.ParabolicSubset(ctx, frozenset({index}))
     full = lk.strongly_linked_set(chi, convention)
+    assert lk.verify_closure(full)
     cands = lk.verma_factor_candidates(chi, p, convention)
     kept = frozenset(m for m in full.members if lk.in_lambda_p_plus(m.algebraic, p))
     assert cands.members == kept
     assert cands.upper_bound
     assert set(cands.witness) == kept
     for member in kept:
-        assert replays(chi, cands.witness[member], member, convention)
+        assert cands.witness[member] == full.witness[member]
     for member in full.members - kept:
         with pytest.raises(KeyError):
             cands.witness[member]

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -117,3 +119,106 @@ def test_nonintegral_chain_is_singleton():
     ctx = context("A_1", embeddings=2)
     chi = char(ctx, [(Fraction(1, 2),), (Fraction(1, 3),)])
     assert lk.stabilized_chain_set(chi, "paper") == frozenset({chi})
+
+
+def test_chain_levels_are_bounded_by_the_closure():
+    # each level is a set of closure states, so the traced peak stays near
+    # the size of the 720-member result; one entry per gated sequence
+    # peaked near 6 MB here
+    chi = char(context("A_5"), [(0,) * 5])
+    tracemalloc.start()
+    try:
+        got = lk.stabilized_chain_set(chi, "paper")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert got == lk.strongly_linked_set(chi, "paper").members
+    assert len(got) == 720
+
+
+def tampered(result, members=None, chains=None):
+    """A copy of result with its member set and witness map replaced; the
+    chains default to result's own chains of the new members."""
+    members = result.members if members is None else frozenset(members)
+    chains = {m: result.witness[m] for m in members} if chains is None else chains
+    return dataclasses.replace(result, members=members, witness=chains)
+
+
+def chain(*steps):
+    return lk.LinkageChain(tuple(steps))
+
+
+@pytest.mark.parametrize(
+    "name,s,central,rows",
+    [
+        ("A_1", 1, 0, [(0,)]),
+        ("A_2", 1, 0, [(0, 0)]),
+        ("A_2", 1, 0, [(1, -2)]),
+        ("B_2", 2, 1, [(1, 0, Fraction(1, 3)), (Fraction(1, 2), 2, 0)]),
+        ("G_2", 1, 0, [(0, 1)]),
+    ],
+)
+@pytest.mark.parametrize("convention", ["paper", "shifted"])
+def test_verify_closure_accepts_closures(name, s, central, rows, convention):
+    result = lk.strongly_linked_set(char(context(name, embeddings=s, central=central), rows), convention)
+    assert lk.verify_closure(result)
+    assert lk.verify_closure(tampered(result))  # the copy the mutation tests start from
+
+
+def test_verify_closure_rejects_a_dropped_member():
+    result = lk.strongly_linked_set(char(context("A_2"), [(0, 0)]), "paper")
+    for member in result.members:
+        assert not lk.verify_closure(tampered(result, result.members - {member}))
+
+
+def test_verify_closure_rejects_an_added_member():
+    # (0,-3) is linked to (1,-2) only under the shifted gate; its shifted
+    # chain replays under that gate but not under the paper gate
+    chi = char(context("A_2"), [(1, -2)])
+    paper = lk.strongly_linked_set(chi, "paper")
+    shifted = lk.strongly_linked_set(chi, "shifted")
+    (extra,) = shifted.members - paper.members
+    chains = {m: paper.witness[m] for m in paper.members}
+    chains[extra] = shifted.witness[extra]
+    assert not lk.verify_closure(tampered(paper, paper.members | {extra}, chains))
+    assert lk.verify_closure(tampered(shifted))
+
+
+def test_verify_closure_rejects_a_wrong_root():
+    result = lk.strongly_linked_set(char(context("A_2"), [(0, 0)]), "paper")
+    member = next(m for m in result.members if len(result.witness[m].steps) == 1)
+    ((root, to),) = result.witness[member].steps
+    for wrong in (
+        *(r for r in result.origin.algebraic.context.global_roots() if r != root),
+        lk.GlobalRoot(0, 99),  # no such positive root
+        lk.GlobalRoot(1, 0),  # no such embedding
+    ):
+        chains = {m: result.witness[m] for m in result.members}
+        chains[member] = chain((wrong, to))
+        assert not lk.verify_closure(tampered(result, chains=chains))
+
+
+def test_verify_closure_rejects_an_ungated_step():
+    # the step from -2 back up to 0 is a dot reflection, but its gate is
+    # closed under both conventions
+    ctx = context("A_1")
+    root = lk.GlobalRoot(0, 0)
+    zero, low = char(ctx, [(0,)]), char(ctx, [(-2,)])
+    assert lk.dot_reflect_char(low, root) == zero
+    for convention in ("paper", "shifted"):
+        result = lk.strongly_linked_set(zero, convention)
+        assert result.members == {zero, low}
+        chains = {zero: chain(), low: chain((root, low), (root, zero), (root, low))}
+        assert not lk.verify_closure(tampered(result, chains=chains))
+        chains[low] = chain((root, low))
+        assert lk.verify_closure(tampered(result, chains=chains))
+
+
+def test_verify_closure_rejects_a_missing_chain():
+    result = lk.strongly_linked_set(char(context("B_2"), [(1, 1)]), "paper")
+    for member in result.members:
+        chains = {m: result.witness[m] for m in result.members if m != member}
+        assert not lk.verify_closure(tampered(result, chains=chains))
+    origin_dropped = result.members - {result.origin}
+    assert not lk.verify_closure(tampered(result, origin_dropped))

@@ -31,12 +31,7 @@ from .linkage import (
 )
 from .oracle import dot_orbit, stabilized_chain_set, verify_closure
 from .parabolic import ParabolicSubset, central_class_key, equal_on_center, in_lambda_p_plus
-from .rootsys import (
-    CartanSpec,
-    RootSystem,
-    build_root_system,
-    positive_root_count,
-)
+from .rootsys import RootSystem, build_root_system, positive_root_count
 from .weights_chars import (
     CONVENTIONS,
     EmbeddingContext,
@@ -57,7 +52,6 @@ kernel_implementation = "python"
 
 __all__ = [
     "CONVENTIONS",
-    "CartanSpec",
     "ContextMismatch",
     "DEFAULT_ORBIT_GUARD",
     "EmbeddingContext",

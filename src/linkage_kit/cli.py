@@ -22,12 +22,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import (
-    InvalidCartan,
-    LinkageKitError,
-    OrbitGuardExceeded,
-    RankMismatch,
-)
+from .errors import InvalidCartan, LinkageKitError, OrbitGuardExceeded
 from .linkage import (
     DEFAULT_ORBIT_GUARD,
     LinkageResult,
@@ -205,7 +200,7 @@ def _normalize_job(job: dict):
     """
     try:
         rs = build_root_system(job["root_system"])
-    except (InvalidCartan, RankMismatch) as exc:
+    except InvalidCartan as exc:
         raise ValidationError("root_system", str(exc)) from None
 
     for i in job["parabolic"]:
@@ -331,7 +326,7 @@ def run(job: dict) -> tuple[int, dict]:
             "in_lambda_p_plus": in_lambda_p_plus(chi.algebraic, parabolic),
         }
     else:  # orbit
-        orbit = sorted(dot_orbit(chi.algebraic, size_guard=guard), key=weight_sort_key)
+        orbit = sorted(dot_orbit(chi.algebraic, guard=guard), key=weight_sort_key)
         result_doc = {
             "members": [{"coords": _coords_doc(w)} for w in orbit],
             "count": len(orbit),

@@ -10,7 +10,7 @@ class InvalidCartan(LinkageKitError):
 
 
 class RankMismatch(LinkageKitError):
-    """Declared rank disagrees with the supplied data."""
+    """A weight has a different number of coordinates than the rank."""
 
 
 class IndexOutOfRange(LinkageKitError):

@@ -84,9 +84,6 @@ class LinkageResult:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, chi: LocAnChar) -> bool:
-        return chi in self.members
-
 
 def up_link_candidates(chi: LocAnChar, convention: str) -> list[tuple[GlobalRoot, LocAnChar]]:
     """All single gated links out of chi: for every global root whose

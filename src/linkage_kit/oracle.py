@@ -138,16 +138,16 @@ def verify_closure(result: LinkageResult) -> bool:
     return True
 
 
-def dot_orbit(lam: WeightL, *, size_guard: int = DEFAULT_ORBIT_GUARD) -> frozenset[WeightL]:
+def dot_orbit(lam: WeightL, *, guard: int = DEFAULT_ORBIT_GUARD) -> frozenset[WeightL]:
     """Full dot orbit of a weight, as the product of per-embedding orbits.
 
     Each embedding's block is closed under the kernel's orbit gates (every
     simple reflection that moves it), which visits exactly its orbit.
     Repeated blocks are searched once; central blocks ride along
     unchanged.  Raises OrbitGuardExceeded as soon as one embedding's
-    orbit or the running product exceeds ``size_guard``.
+    orbit or the running product exceeds ``guard``.
     """
-    closures = _embedding_closures(lam, None, size_guard)
+    closures = _embedding_closures(lam, None, guard)
     return frozenset(
         _weight_unchecked(lam.context, rows)
         for rows in itertools.product(*(rows for rows, _, _ in closures))

@@ -1,4 +1,4 @@
-"""Finite-type root systems: Cartan data, positive roots, coroots, simple reflections.
+"""Finite-type root systems: Cartan data, positive roots and coroots.
 
 Weights live in fundamental-weight coordinates throughout the package:
 coordinate i of a weight is its pairing with the i-th simple coroot.  In
@@ -21,7 +21,6 @@ from typing import Sequence
 from .errors import IndexOutOfRange, InvalidCartan, RankMismatch
 
 IntMatrix = tuple[tuple[int, ...], ...]
-RationalVector = tuple[Fraction, ...]
 
 _NAMED_TYPE = re.compile(r"^([A-G])_?([0-9]+)$")
 
@@ -201,21 +200,10 @@ def _generate_positive_roots(a: IntMatrix):
             k2[i] -= copair
             roots[c2] = tuple(k2)
             worklist.append((c2, roots[c2]))
+    # the simple roots are the only roots of height 1, so e_0 ... e_{n-1}
+    # come first, in order
     order = sorted(roots, key=lambda c: (sum(c), c[::-1]))
     return tuple(order), tuple(roots[c] for c in order)
-
-
-@dataclass(frozen=True)
-class CartanSpec:
-    """Recipe for a root system.
-
-    ``kind`` is either a named type ("A_2", "G2", an "x"-product such as
-    "A_2xA_1") or an explicit square Cartan matrix.  ``rank``, when given,
-    must agree with the resolved matrix.
-    """
-
-    kind: str | Sequence[Sequence[int]]
-    rank: int | None = None
 
 
 @dataclass(frozen=True)
@@ -233,7 +221,6 @@ class RootSystem:
     coroot_coeffs: tuple[tuple[int, ...], ...]
     root_fund: tuple[tuple[int, ...], ...]
     coroot_heights: tuple[int, ...]
-    rho: RationalVector
     name: str | None = None
 
     @property
@@ -253,15 +240,6 @@ class RootSystem:
         k = self.coroot_coeffs[root_index]
         return sum((c * Fraction(w) for c, w in zip(k, weight)), Fraction(0))
 
-    def simple_reflection(self, i: int, weight: Sequence[Fraction]) -> RationalVector:
-        """Linear (unshifted) action of s_i on fundamental coordinates."""
-        if not 0 <= i < self.rank:
-            raise IndexOutOfRange(f"simple index {i} out of range")
-        if len(weight) != self.rank:
-            raise RankMismatch(f"weight has {len(weight)} coordinates, rank is {self.rank}")
-        w = tuple(Fraction(x) for x in weight)
-        return tuple(w[j] - w[i] * self.cartan[j][i] for j in range(self.rank))
-
     def root_index(self, coeffs: Sequence[int]) -> int:
         try:
             return self.positive_roots.index(tuple(coeffs))
@@ -269,29 +247,25 @@ class RootSystem:
             raise IndexOutOfRange(f"{tuple(coeffs)} is not a positive root") from None
 
 
-def build_root_system(spec: CartanSpec | str | Sequence[Sequence[int]]) -> RootSystem:
-    """Construct the full root-system data for a Cartan spec.
+def build_root_system(kind: str | Sequence[Sequence[int]]) -> RootSystem:
+    """Construct the full root-system data for a type name or a Cartan matrix.
 
-    Positive roots are generated by closing the simple roots under simple
-    reflections; construction rejects matrices that are not finite type.
-    The spec is parsed and validated on every call; the construction is
-    cached on (validated matrix, canonical name).
+    ``kind`` is a named type ("A_2", "G2", an "x"-product such as
+    "A_2xA_1") or an explicit square Cartan matrix.  Positive roots are
+    generated by closing the simple roots under simple reflections;
+    construction rejects matrices that are not finite type.  The input is
+    parsed and validated on every call; the construction is cached on
+    (validated matrix, canonical name).
     """
-    if not isinstance(spec, CartanSpec):
-        spec = CartanSpec(spec)
-
     name: str | None = None
-    if isinstance(spec.kind, str):
-        factors = _parse_name(spec.kind)
+    if isinstance(kind, str):
+        factors = _parse_name(kind)
         name = _canonical_name(factors)
         matrix = _validate_cartan_shape(
             _block_diagonal([_named_cartan(letter, n) for letter, n in factors])
         )
     else:
-        matrix = _validate_cartan_shape(spec.kind)
-
-    if spec.rank is not None and spec.rank != len(matrix):
-        raise RankMismatch(f"declared rank {spec.rank}, matrix has rank {len(matrix)}")
+        matrix = _validate_cartan_shape(kind)
     return _root_system(matrix, name)
 
 
@@ -299,17 +273,15 @@ def build_root_system(spec: CartanSpec | str | Sequence[Sequence[int]]) -> RootS
 def _root_system(matrix: IntMatrix, name: str | None) -> RootSystem:
     """Check, generate and construct for a validated matrix.  RootSystem is
     immutable, so the result is cached on the inputs; an error is not
-    cached and is raised again on every call."""
+    cached and is raised again on every call.  A named type generating the
+    wrong number of roots is a fault in this module, not in the input, so
+    it raises RuntimeError."""
     _check_finite_type(matrix)
     positive, coroots = _generate_positive_roots(matrix)
 
     rank = len(matrix)
-    for i in range(rank):
-        expected = tuple(1 if j == i else 0 for j in range(rank))
-        if positive[i] != expected:
-            raise InvalidCartan("simple roots are not the first generated roots")
     if name is not None and len(positive) != positive_root_count(name):
-        raise InvalidCartan(
+        raise RuntimeError(
             f"generated {len(positive)} positive roots for {name}, "
             f"expected {positive_root_count(name)}"
         )
@@ -319,7 +291,6 @@ def _root_system(matrix: IntMatrix, name: str | None) -> RootSystem:
         for c in positive
     )
     heights = tuple(sum(k) for k in coroots)
-    rho = tuple(Fraction(1) for _ in range(rank))
 
     return RootSystem(
         cartan=matrix,
@@ -327,7 +298,6 @@ def _root_system(matrix: IntMatrix, name: str | None) -> RootSystem:
         coroot_coeffs=coroots,
         root_fund=root_fund,
         coroot_heights=heights,
-        rho=rho,
         name=name,
     )
 

@@ -70,12 +70,6 @@ class EmbeddingContext:
             for r in range(self.base.num_positive)
         ]
 
-    def rho_weight(self) -> WeightL:
-        """The weight pairing to 1 against every simple coroot, in every
-        embedding; central coordinates are zero."""
-        row = self.base.rho + (Fraction(0),) * self.central_dim
-        return WeightL(self, (row,) * self.num_embeddings)
-
     def zero_weight(self) -> WeightL:
         row = (Fraction(0),) * self.dim
         return WeightL(self, (row,) * self.num_embeddings)
@@ -134,9 +128,6 @@ class WeightL:
             h = hash((hash(self.context), key))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def component(self, sigma: int) -> tuple[Fraction, ...]:
-        return self.components[sigma]
 
     def semisimple(self, sigma: int) -> tuple[Fraction, ...]:
         return self.components[sigma][: self.context.rank]

@@ -88,6 +88,22 @@ def test_internal_fault_is_not_a_validation_error(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_root_count_fault_is_not_a_validation_error(monkeypatch, capsys):
+    import linkage_kit.rootsys as rootsys
+
+    # a named type generating the wrong number of roots is a fault of the
+    # generator, not of the job; the cache must not answer from earlier runs
+    count = rootsys.positive_root_count
+    monkeypatch.setattr(rootsys, "positive_root_count", lambda name: count(name) + 1)
+    rootsys._root_system.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="generated 3 positive roots for A_2, expected 4"):
+            cli.main(["--root-system", "A_2", "--weight", "0,0", "--command", "linkset"])
+    finally:
+        rootsys._root_system.cache_clear()
+    assert capsys.readouterr() == ("", "")
+
+
 def test_parabolic_index_validation():
     job = make_job(parabolic=[3])
     with pytest.raises(ValidationError) as err:
@@ -451,12 +467,14 @@ def _validation_error(argv, capsys):
         b'{"root_system": "A_1", "embeddings": ' + b"1" * 5000 + b"}",
         b'{"root_system": "A_\xff"}',
         b'{"root_system": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+        None,
     ],
-    ids=["long_integer", "not_utf8", "deeply_nested"],
+    ids=["long_integer", "not_utf8", "deeply_nested", "missing"],
 )
 def test_unreadable_job_file_is_a_job_error(content, tmp_path, capsys):
     path = tmp_path / "job.json"
-    path.write_bytes(content)
+    if content is not None:
+        path.write_bytes(content)
     assert _validation_error(["--job", str(path)], capsys)["field"] == "job"
 
 
@@ -494,6 +512,39 @@ def test_flag_errors_are_the_job_file_errors(field, flag_value, job_value, tmp_p
     argv = ["--root-system", "A_1", "--weight", "0", "--command", "linkset"]
     assert _validation_error(argv + [f"--{field}", flag_value], capsys)["field"] == field
     assert _validation_error(["--job", str(path)], capsys)["field"] == field
+
+
+@pytest.mark.parametrize(
+    "overrides,field,message",
+    [
+        (
+            {"character": {"coords": [[1.5]]}},
+            "character.coords[0][0]",
+            "expected a rational string, got float",
+        ),
+        (
+            {"character": {"coords": [[True]]}},
+            "character.coords[0][0]",
+            "expected a rational string, got bool",
+        ),
+        ({"root_system": 42}, "root_system", "expected a type name or an integer matrix"),
+        (
+            {
+                "root_system": [[2, -1, -1], [-1, 2, -1], [-2, -1, 2]],
+                "character": {"coords": [["0", "0", "0"]]},
+            },
+            "root_system",
+            "matrix is not symmetrizable",
+        ),
+    ],
+    ids=["float_coordinate", "bool_coordinate", "number_root_system", "not_symmetrizable"],
+)
+def test_job_file_value_errors(overrides, field, message, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    job = {"root_system": "A_1", "character": {"coords": [["0"]]}, "command": "linkset"}
+    path.write_text(json.dumps({**job, **overrides}))
+    error = _validation_error(["--job", str(path)], capsys)
+    assert (error["field"], error["message"]) == (field, message)
 
 
 def test_unknown_format_is_a_format_error(tmp_path, capsys):

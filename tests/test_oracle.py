@@ -75,9 +75,9 @@ def test_dot_orbit_guard():
     ctx = context("A_2", embeddings=2)
     lam = weight(ctx, [(0, 0), (0, 0)])
     with pytest.raises(lk.OrbitGuardExceeded):
-        lk.dot_orbit(lam, size_guard=30)  # 6^2 > 30
+        lk.dot_orbit(lam, guard=30)  # 6^2 > 30
     # the guard bounds the orbit itself, so a guard equal to its size passes
-    assert len(lk.dot_orbit(lam, size_guard=36)) == 36
+    assert len(lk.dot_orbit(lam, guard=36)) == 36
 
 
 def test_dot_orbit_guard_across_embeddings():
@@ -85,11 +85,11 @@ def test_dot_orbit_guard_across_embeddings():
     lam = weight(ctx, [(0, 0), (0, -1)])
     # embedding 0's orbit has 6 members, embedding 1's 3; the product reaches 18
     with pytest.raises(lk.OrbitGuardExceeded, match=r"embeddings 0\.\.1 \(6 x 3 = 18 members\)"):
-        lk.dot_orbit(lam, size_guard=17)
+        lk.dot_orbit(lam, guard=17)
     # one embedding's own orbit past the guard names that embedding
     with pytest.raises(lk.OrbitGuardExceeded, match="embedding 0 exceeded"):
-        lk.dot_orbit(lam, size_guard=5)
-    assert len(lk.dot_orbit(lam, size_guard=18)) == 18
+        lk.dot_orbit(lam, guard=5)
+    assert len(lk.dot_orbit(lam, guard=18)) == 18
 
 
 @pytest.mark.parametrize(
@@ -196,6 +196,17 @@ def test_verify_closure_rejects_a_wrong_root():
     ):
         chains = {m: result.witness[m] for m in result.members}
         chains[member] = chain((wrong, to))
+        assert not lk.verify_closure(tampered(result, chains=chains))
+
+
+def test_verify_closure_rejects_swapped_chains():
+    # each chain replays, but to the other member
+    result = lk.strongly_linked_set(char(context("A_2"), [(0, 0)]), "paper")
+    others = result.members - {result.origin}
+    assert len(others) == 5
+    for a, b in itertools.combinations(others, 2):
+        chains = {m: result.witness[m] for m in result.members}
+        chains[a], chains[b] = chains[b], chains[a]
         assert not lk.verify_closure(tampered(result, chains=chains))
 
 

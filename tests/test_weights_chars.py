@@ -19,7 +19,7 @@ def test_global_pairing_reads_one_component():
 def test_global_pairing_rho():
     for name in ("A_2", "B_2", "G_2"):
         ctx = context(name, embeddings=2)
-        rho = ctx.rho_weight()
+        rho = weight(ctx, [(1,) * ctx.rank] * 2)
         for i in range(ctx.rank):
             for s in range(2):
                 assert lk.global_pairing(rho, lk.GlobalRoot(s, i)) == 1
@@ -41,7 +41,7 @@ def test_dot_reflect_rank_one():
 def test_dot_reflect_fixed_point():
     for name in ("A_2", "B_2"):
         ctx = context(name, embeddings=2)
-        minus_rho = weight(ctx, [tuple(-x for x in ctx.base.rho)] * 2)
+        minus_rho = weight(ctx, [(-1,) * ctx.rank] * 2)
         for r in ctx.global_roots():
             assert lk.dot_reflect(minus_rho, r) == minus_rho
 
@@ -166,7 +166,7 @@ def test_central_block_untouched():
     assert moved.central(0) == (Fraction(1, 2), Fraction(4))
     assert moved.central(1) == (Fraction(5), Fraction(6))
     assert moved.semisimple(0) == (Fraction(-5),)
-    assert moved.component(1) == lam.component(1)
+    assert moved.components[1] == lam.components[1]
 
 
 def test_context_mismatch():

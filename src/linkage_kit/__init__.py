@@ -23,13 +23,13 @@ from .linkage import (
     DEFAULT_ORBIT_GUARD,
     LinkageChain,
     LinkageResult,
+    dot_orbit,
     noncritical_obstruction_set,
     strongly_linked_set,
     up_link_candidates,
     verma_factor_candidates,
-    verma_factors_borel,
 )
-from .oracle import dot_orbit, stabilized_chain_set, verify_closure
+from .oracle import stabilized_chain_set, verify_closure, verify_orbit
 from .parabolic import ParabolicSubset, central_class_key, equal_on_center, in_lambda_p_plus
 from .rootsys import RootSystem, build_root_system, positive_root_count
 from .weights_chars import (
@@ -87,6 +87,6 @@ __all__ = [
     "strongly_linked_set",
     "up_link_candidates",
     "verma_factor_candidates",
-    "verma_factors_borel",
     "verify_closure",
+    "verify_orbit",
 ]

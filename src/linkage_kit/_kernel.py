@@ -2,7 +2,7 @@
 
 linkage_bfs closes one embedding's block under gated dot reflections: the
 linkage gates of linkage.strongly_linked_set and the sets built on it, or
-the orbit gates of oracle.dot_orbit.  It is the one place where gates are
+the orbit gates of linkage.dot_orbit.  It is the one place where gates are
 built and a block is shifted by rho and back; its breadth-first search
 (bfs) over the reflection step (reflection_children) is shared with the
 tests' reference searches.

@@ -26,13 +26,13 @@ from .errors import InvalidCartan, LinkageKitError, OrbitGuardExceeded
 from .linkage import (
     DEFAULT_ORBIT_GUARD,
     LinkageResult,
+    dot_orbit,
     noncritical_obstruction_set,
     strongly_linked_set,
     verma_factor_candidates,
-    verma_factors_borel,
     weight_sort_key,
 )
-from .oracle import dot_orbit, stabilized_chain_set
+from .oracle import stabilized_chain_set
 from .parabolic import ParabolicSubset, in_lambda_p_plus
 from .rationals import format_rational, parse_rational
 from .rootsys import build_root_system
@@ -281,9 +281,8 @@ def run(job: dict) -> tuple[int, dict]:
     if command in WITNESS_COMMANDS:  # the closure commands that list their members
         if command == "candidates":
             result = verma_factor_candidates(chi, parabolic, convention, guard=guard)
-        else:
-            closure = strongly_linked_set if command == "linkset" else verma_factors_borel
-            result = closure(chi, convention, guard=guard)
+        else:  # linkset, or factors: at the Borel the factors are the closure
+            result = strongly_linked_set(chi, convention, guard=guard)
         result_doc = {"members": _members_doc(result, job["witness"]), "count": len(result)}
         if command == "candidates":
             result_doc["upper_bound"] = result.upper_bound

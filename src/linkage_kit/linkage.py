@@ -1,4 +1,5 @@
-"""Strong-linkage closures and the factor/obstruction sets built on them.
+"""Strong-linkage closures, the factor/obstruction sets built on them,
+and dot orbits.
 
 A gated dot reflection at a global root (sigma, r) reads and writes only
 component sigma, so the reachability graph of a character is the
@@ -10,7 +11,8 @@ the chain count explodes combinatorially but each factor is bounded by
 the dot orbit, so BFS is the right algorithm.  Witness chains are built
 on lookup from the per-embedding BFS trees; a chain replays from the
 origin to its member, and nothing more (no minimality, no particular
-chain) is promised.
+chain) is promised.  Under the orbit gates the same per-embedding search
+gives the dot orbit.
 """
 
 from __future__ import annotations
@@ -69,14 +71,20 @@ class LinkageResult:
     ``members`` always contains the origin; ``witness`` maps each member
     to a chain that replays from the origin to it (the origin's chain is
     empty), built on lookup.
-    ``upper_bound`` marks candidate sets that are only a superset of the
-    true factor set (proper parabolic filters)."""
+    ``parabolic`` holds the simple-root indices whose parabolic filter
+    the members passed, empty for a full closure; ``upper_bound`` marks
+    the candidate sets of a proper parabolic, which are only a superset of
+    the true factor set."""
 
     origin: LocAnChar
     members: frozenset[LocAnChar]
     witness: Mapping[LocAnChar, LinkageChain]
     convention: str
-    upper_bound: bool = False
+    parabolic: frozenset[int] = frozenset()
+
+    @property
+    def upper_bound(self) -> bool:
+        return bool(self.parabolic)
 
     def sorted_members(self) -> list[LocAnChar]:
         return sorted(self.members, key=char_sort_key)
@@ -198,6 +206,24 @@ def _embedding_closures(
     return closures
 
 
+def dot_orbit(lam: WeightL, *, guard: int = DEFAULT_ORBIT_GUARD) -> frozenset[WeightL]:
+    """Full dot orbit of a weight, the ungated container of every linkage
+    closure, as the product of per-embedding orbits.
+
+    Each embedding's block is closed under the kernel's orbit gates (every
+    simple reflection that moves it), which visits exactly its orbit
+    without enumerating the Weyl group.  Repeated blocks are searched
+    once; central blocks ride along unchanged.  Raises OrbitGuardExceeded
+    as soon as one embedding's orbit or the running product exceeds
+    ``guard``.
+    """
+    closures = _embedding_closures(lam, None, guard)
+    return frozenset(
+        _weight_unchecked(lam.context, rows)
+        for rows in itertools.product(*(rows for rows, _, _ in closures))
+    )
+
+
 def _product_closure(
     chi: LocAnChar,
     convention: str,
@@ -226,7 +252,9 @@ def _product_closure(
 def strongly_linked_set(
     chi: LocAnChar, convention: str, *, guard: int = DEFAULT_ORBIT_GUARD
 ) -> LinkageResult:
-    """Downward closure of chi under gated dot reflections.
+    """Downward closure of chi under gated dot reflections: the exact set
+    of simple factors of the Verma module with highest weight chi induced
+    from the Borel (multiplicities are not computed).
 
     Computed as the product over embeddings of one breadth-first closure
     per embedding.  Terminates because every link strictly lowers the
@@ -237,15 +265,6 @@ def strongly_linked_set(
     """
     members, witness = _product_closure(chi, convention, guard)
     return LinkageResult(origin=chi, members=members, witness=witness, convention=convention)
-
-
-def verma_factors_borel(
-    chi: LocAnChar, convention: str, *, guard: int = DEFAULT_ORBIT_GUARD
-) -> LinkageResult:
-    """The exact set of simple factors of the Verma module with highest
-    weight chi induced from the Borel: precisely the strongly linked
-    characters.  Multiplicities are not computed."""
-    return strongly_linked_set(chi, convention, guard=guard)
 
 
 def verma_factor_candidates(
@@ -259,7 +278,8 @@ def verma_factor_candidates(
     linked characters whose weight is dominant-integral for the parabolic.
 
     Exact at the Borel (empty subset); for proper parabolics this is an
-    upper bound on the true factor set, flagged via ``upper_bound``."""
+    upper bound on the true factor set, flagged via ``upper_bound``; the
+    result's ``parabolic`` holds the filter's indices."""
     require_parabolic_dominant(chi_highest, p)
     indices = p.indices
     keep_row = (lambda row: row_in_lambda_p_plus(row, indices)) if indices else None
@@ -269,7 +289,7 @@ def verma_factor_candidates(
         members=members,
         witness=witness,
         convention=convention,
-        upper_bound=bool(indices),
+        parabolic=indices,
     )
 
 

@@ -1,5 +1,4 @@
-"""Reference sets and the closure certificate used to validate the linkage
-search.
+"""Reference sets and the certificates used to validate the linkage search.
 
 stabilized_chain_set walks the gated reflection sequences level by level:
 level d is the set of endpoints of the gated sequences of length d.
@@ -13,29 +12,32 @@ its own: it computes every pairing as a dot product with a coroot and
 moves the unshifted state along the root, while the kernel reads pairings
 and children off signed permutations of the coroots.
 
-verify_closure certifies a closure without the integer kernels: the
-witness chains replay through the Fraction-level dominance gate and dot
-reflection, and the member set is closed under every gated link.
-
-dot_orbit is the ungated container of every linkage closure: the orbit of
-a weight under the dot action of the Weyl group: the product of the
-per-embedding closures of linkage._embedding_closures under the kernel's
-orbit gates, found without enumerating the group itself.
+verify_closure (closures and candidate sets) and verify_orbit (dot
+orbits) certify a result through the Fraction-level primitives only, never
+through the search kernel.  They rest on the theorem in linkage's
+docstring: a reflection at (sigma, r) reads and writes only component
+sigma.  So each embedding's factor is found by closing the origin's
+sigma-row under the sigma-links with the other components held at the
+origin's, recording each link; a result must be exactly the product of
+its (filtered) factors, and every witness chain must walk recorded links
+from the origin to its member.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Callable, Iterator
 from functools import partial
+from math import prod
 
-from .errors import LinkageKitError
-from .linkage import DEFAULT_ORBIT_GUARD, LinkageResult, _embedding_closures, up_link_candidates
+from .linkage import LinkageChain, LinkageResult
+from .parabolic import row_in_lambda_p_plus
 from .weights_chars import (
+    EmbeddingContext,
+    GlobalRoot,
     LocAnChar,
     WeightL,
-    _weight_unchecked,
     check_convention,
-    dot_reflect_char,
+    dot_reflect,
     from_integer_encoding,
     integer_encoding,
     is_alpha_dominant,
@@ -102,53 +104,154 @@ def stabilized_chain_set(chi: LocAnChar, convention: str) -> frozenset[LocAnChar
     )
 
 
-def verify_closure(result: LinkageResult) -> bool:
-    """Whether ``result.members`` is exactly the closure of its origin,
-    checked through the Fraction-level primitives only.
+# moves(weight, sigma) yields (root index, moved weight) for every link out
+# of the weight that moves its sigma-row
+_Moves = Callable[[WeightL, int], Iterator[tuple[int, WeightL]]]
 
-    Three checks: the origin is a member; every member's witness chain
-    replays from the origin through gated dot reflections that move, step
-    by step onto the recorded characters, and ends at the member; and
-    every gated link out of every member lands on a member.  The chains
-    put the members inside the closure, and closedness puts the closure
-    inside the members.  A malformed result (a missing chain, a root
-    outside the context) gives False, not an error."""
-    origin, members, convention = result.origin, result.members, result.convention
-    if origin not in members:
+
+def _row_key(row: tuple) -> tuple:
+    """A row as (numerator, denominator) pairs: ints hash and compare in C,
+    where a Fraction's hash takes a modular inverse."""
+    return tuple([(x.numerator, x.denominator) for x in row])
+
+
+def _gated_moves(tag: str, convention: str, lam: WeightL, sigma: int):
+    """The linkage links: every dominance-gated dot reflection at a root of
+    embedding sigma that moves the weight."""
+    chi = LocAnChar(lam, tag)
+    row = lam.components[sigma]
+    for r in range(lam.context.base.num_positive):
+        root = GlobalRoot(sigma, r)
+        if is_alpha_dominant(chi, root, convention):
+            moved = dot_reflect(lam, root)
+            if moved.components[sigma] != row:
+                yield r, moved
+
+
+def _simple_moves(lam: WeightL, sigma: int):
+    """The orbit links: every simple dot reflection of embedding sigma that
+    moves the weight (the simple roots are positive roots 0 .. rank-1)."""
+    row = lam.components[sigma]
+    for i in range(lam.context.rank):
+        moved = dot_reflect(lam, GlobalRoot(sigma, i))
+        if moved.components[sigma] != row:
+            yield i, moved
+
+
+def _factor(lam: WeightL, sigma: int, moves: _Moves):
+    """Closure of lam's sigma-row under ``moves``, the other rows held at
+    lam's: the rows in discovery order (lam's first), each row's key to its
+    number, and the recorded links (row number, root index) -> row number."""
+    rows = [lam.components[sigma]]
+    numbers = {_row_key(rows[0]): 0}
+    links: dict[tuple[int, int], int] = {}
+    weights = [lam]
+    for n, weight in enumerate(weights):  # grows while it is walked
+        for r, moved in moves(weight, sigma):
+            row = moved.components[sigma]
+            key = _row_key(row)
+            m = numbers.get(key)
+            if m is None:
+                m = numbers[key] = len(rows)
+                rows.append(row)
+                weights.append(moved)
+            links[n, r] = m
+    return rows, numbers, links
+
+
+def _row_numbers(lam: WeightL, ctx: EmbeddingContext, numbers: list[dict]) -> list[int] | None:
+    """The number of each of lam's rows in its embedding's factor, or None
+    when lam is not in the product of the factors ``numbers``."""
+    if lam.context != ctx or len(lam.components) != len(numbers):
+        return None
+    out = []
+    for row, index in zip(lam.components, numbers):
+        n = index.get(_row_key(row))
+        if n is None:
+            return None
+        out.append(n)
+    return out
+
+
+def _replay(chain: LinkageChain, origin: LocAnChar, factors: list) -> list[int] | None:
+    """The row numbers the chain ends at, walking from the origin's (all 0),
+    or None unless every step is a recorded link of its embedding onto the
+    recorded character: that embedding's row moved, the rest and the tag
+    kept."""
+    at = [0] * len(factors)
+    current = origin.algebraic.components
+    for root, to in chain.steps:
+        sigma = root.sigma
+        if not 0 <= sigma < len(factors):
+            return None
+        _, numbers, links = factors[sigma]
+        n = links.get((at[sigma], root.root_index))
+        rows = to.algebraic.components
+        if (
+            n is None
+            or to.smooth_tag != origin.smooth_tag
+            or to.algebraic.context != origin.algebraic.context
+            or len(rows) != len(current)
+            or numbers.get(_row_key(rows[sigma])) != n
+            or rows[:sigma] != current[:sigma]
+            or rows[sigma + 1 :] != current[sigma + 1 :]
+        ):
+            return None
+        at[sigma] = n
+        current = rows
+    return at
+
+
+def verify_closure(result: LinkageResult) -> bool:
+    """Whether ``result`` is exactly what it claims, checked through the
+    Fraction-level primitives only: a strong-linkage closure
+    (``strongly_linked_set``) or, for a non-empty ``result.parabolic``,
+    the closure's members whose every row passes ``row_in_lambda_p_plus``
+    (``verma_factor_candidates``).
+
+    For each embedding sigma the origin's sigma-row is closed under the
+    gated moving reflections at the roots of sigma, the other components
+    held at the origin's, and each link is recorded.  Three checks follow:
+    every member has the origin's tag and its rows in the filtered
+    factors; the member count is the product of the filtered factor
+    sizes, so the members are exactly that product; and every member's
+    witness chain starts at the origin, steps only along recorded links
+    and ends at the member.  A malformed result (a missing chain, a root
+    or a parabolic index outside the context) gives False, not an error."""
+    origin, members, parabolic = result.origin, result.members, result.parabolic
+    lam = origin.algebraic
+    ctx = lam.context
+    if origin not in members or not parabolic <= frozenset(range(ctx.rank)):
+        return False
+    moves = partial(_gated_moves, origin.smooth_tag, result.convention)
+    factors = [_factor(lam, sigma, moves) for sigma in range(ctx.num_embeddings)]
+    kept = [
+        {key: n for key, n in numbers.items() if row_in_lambda_p_plus(rows[n], parabolic)}
+        for rows, numbers, _ in factors
+    ]
+    if len(members) != prod(map(len, kept)):
         return False
     for member in members:
+        if member.smooth_tag != origin.smooth_tag:
+            return False
+        end = _row_numbers(member.algebraic, ctx, kept)
         chain = result.witness.get(member)
-        if chain is None:
-            return False
-        cur = origin
-        for root, to in chain.steps:
-            try:
-                if not is_alpha_dominant(cur, root, convention):
-                    return False
-                nxt = dot_reflect_char(cur, root)
-            except LinkageKitError:  # a root outside the context
-                return False
-            if nxt == cur or nxt != to:
-                return False
-            cur = nxt
-        if cur != member:
-            return False
-        if any(child not in members for _, child in up_link_candidates(member, convention)):
+        if end is None or chain is None or _replay(chain, origin, factors) != end:
             return False
     return True
 
 
-def dot_orbit(lam: WeightL, *, guard: int = DEFAULT_ORBIT_GUARD) -> frozenset[WeightL]:
-    """Full dot orbit of a weight, as the product of per-embedding orbits.
+def verify_orbit(lam: WeightL, orbit: frozenset[WeightL]) -> bool:
+    """Whether ``orbit`` is exactly the dot orbit of lam (as ``dot_orbit``
+    returns it), checked through the Fraction-level dot reflection only.
 
-    Each embedding's block is closed under the kernel's orbit gates (every
-    simple reflection that moves it), which visits exactly its orbit.
-    Repeated blocks are searched once; central blocks ride along
-    unchanged.  Raises OrbitGuardExceeded as soon as one embedding's
-    orbit or the running product exceeds ``guard``.
-    """
-    closures = _embedding_closures(lam, None, guard)
-    return frozenset(
-        _weight_unchecked(lam.context, rows)
-        for rows in itertools.product(*(rows for rows, _, _ in closures))
-    )
+    For each embedding sigma, lam's sigma-row is closed under the simple
+    dot reflections of sigma that move it (which generate that
+    embedding's Weyl group), the other components held at lam's.  The
+    orbit must have exactly the product of the factor sizes as members,
+    each with its rows in the factors."""
+    ctx = lam.context
+    numbers = [_factor(lam, sigma, _simple_moves)[1] for sigma in range(ctx.num_embeddings)]
+    if len(orbit) != prod(map(len, numbers)):
+        return False
+    return all(_row_numbers(w, ctx, numbers) is not None for w in orbit)

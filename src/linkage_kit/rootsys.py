@@ -237,8 +237,17 @@ class RootSystem:
             raise RankMismatch(f"weight has {len(weight)} coordinates, rank is {self.rank}")
         if not 0 <= root_index < self.num_positive:
             raise IndexOutOfRange(f"positive-root index {root_index} out of range")
-        k = self.coroot_coeffs[root_index]
-        return sum((c * Fraction(w) for c, w in zip(k, weight)), Fraction(0))
+        # summed over a running common denominator in ints: one Fraction
+        # at the end instead of one per coordinate
+        num, den = 0, 1
+        for c, w in zip(self.coroot_coeffs[root_index], weight):
+            if c:
+                n, d = w.numerator, w.denominator
+                if d == den:
+                    num += c * n
+                else:
+                    num, den = num * d + c * n * den, den * d
+        return Fraction(num, den)
 
     def root_index(self, coeffs: Sequence[int]) -> int:
         try:

@@ -138,7 +138,7 @@ def test_criterion_5_borel_degeneration():
                 ctx = context(name, embeddings=embeddings)
                 borel = lk.ParabolicSubset(ctx, frozenset())
                 for chi in grid_chars(name, embeddings):
-                    factors = lk.verma_factors_borel(chi, "paper")
+                    factors = lk.strongly_linked_set(chi, "paper")
                     cands = lk.verma_factor_candidates(chi, borel, "paper")
                     assert cands.members == factors.members
                     assert cands.upper_bound is False

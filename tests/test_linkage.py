@@ -109,13 +109,13 @@ def test_conventions_give_different_sets():
 
 def test_verma_factors_borel_examples():
     ctx = context("A_1")
-    assert members_coords(lk.verma_factors_borel(char(ctx, [(3,)]), "paper")) == {
+    assert members_coords(lk.strongly_linked_set(char(ctx, [(3,)]), "paper")) == {
         ((Fraction(3),),),
         ((Fraction(-5),),),
     }
     minus_rho = char(ctx, [(-1,)])
-    assert lk.verma_factors_borel(minus_rho, "paper").members == frozenset({minus_rho})
-    assert members_coords(lk.verma_factors_borel(char(ctx, [(-2,)]), "paper")) == {
+    assert lk.strongly_linked_set(minus_rho, "paper").members == frozenset({minus_rho})
+    assert members_coords(lk.strongly_linked_set(char(ctx, [(-2,)]), "paper")) == {
         ((Fraction(-2),),)
     }
 
@@ -126,10 +126,11 @@ def test_candidates_borel_equals_factors():
         p = lk.ParabolicSubset(ctx, frozenset())
         for coords in itertools.islice(itertools.product(integral_grid(ctx.rank, -2, 2), repeat=s), 0, None, 7):
             chi = char(ctx, list(coords))
-            factors = lk.verma_factors_borel(chi, "paper")
+            factors = lk.strongly_linked_set(chi, "paper")
             cands = lk.verma_factor_candidates(chi, p, "paper")
             assert cands.members == factors.members
             assert not cands.upper_bound
+            assert cands.parabolic == frozenset()
 
 
 def test_candidates_filtering_rank_one():
@@ -363,6 +364,8 @@ def test_candidate_witnesses_are_the_kept_members(name, s, central, rows, index,
     kept = frozenset(m for m in full.members if lk.in_lambda_p_plus(m.algebraic, p))
     assert cands.members == kept
     assert cands.upper_bound
+    assert cands.parabolic == {index}
+    assert lk.verify_closure(cands)
     assert set(cands.witness) == kept
     for member in kept:
         assert cands.witness[member] == full.witness[member]

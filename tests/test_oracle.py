@@ -97,10 +97,7 @@ def test_dot_orbit_guard_across_embeddings():
     [("A_1", 2, 1), ("A_2", 1, 0), ("B_2", 1, 1), ("G_2", 1, 0), ("A_2xA_1", 1, 0)],
 )
 def test_dot_orbit_certificate(name, embeddings, central):
-    # checked with the Fraction-level dot_reflect only: the orbit holds the
-    # weight and is closed under the dot reflection at every global root
     ctx = context(name, embeddings=embeddings, central=central)
-    roots = ctx.global_roots()
     values = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(-2, 3))
     for coords in itertools.product(values, repeat=ctx.rank * embeddings):
         rows = [
@@ -108,11 +105,29 @@ def test_dot_orbit_certificate(name, embeddings, central):
             for s in range(embeddings)
         ]
         lam = weight(ctx, rows)
-        orbit = lk.dot_orbit(lam)
-        assert lam in orbit
-        for mu in orbit:
-            for r in roots:
-                assert lk.dot_reflect(mu, r) in orbit
+        assert lk.verify_orbit(lam, lk.dot_orbit(lam))
+
+
+def test_verify_orbit_rejects_a_missing_member():
+    lam = weight(context("B_2", embeddings=2), [(0, 0), (Fraction(1, 2), -1)])
+    orbit = lk.dot_orbit(lam)
+    assert len(orbit) == 32  # 8 x 4
+    for mu in orbit:
+        assert not lk.verify_orbit(lam, orbit - {mu})
+
+
+def test_verify_orbit_rejects_an_extra_weight():
+    ctx = context("A_2", embeddings=2)
+    lam = weight(ctx, [(0, 0), (0, -1)])
+    orbit = lk.dot_orbit(lam)
+    # in the orbit of embedding 0's row but not of embedding 1's
+    extra = weight(ctx, [(0, 0), (0, 0)])
+    assert not lk.verify_orbit(lam, orbit | {extra})
+    for mu in orbit:
+        assert not lk.verify_orbit(lam, orbit - {mu} | {extra})
+    # a weight of another context
+    foreign = weight(context("A_2xA_1"), [(0, 0, 0)])
+    assert not lk.verify_orbit(lam, orbit - {lam} | {foreign})
 
 
 def test_nonintegral_chain_is_singleton():
@@ -149,6 +164,10 @@ def chain(*steps):
     return lk.LinkageChain(tuple(steps))
 
 
+def coords(chi):
+    return chi.algebraic.components
+
+
 @pytest.mark.parametrize(
     "name,s,central,rows",
     [
@@ -161,9 +180,84 @@ def chain(*steps):
 )
 @pytest.mark.parametrize("convention", ["paper", "shifted"])
 def test_verify_closure_accepts_closures(name, s, central, rows, convention):
-    result = lk.strongly_linked_set(char(context(name, embeddings=s, central=central), rows), convention)
+    ctx = context(name, embeddings=s, central=central)
+    chi = char(ctx, rows)
+    result = lk.strongly_linked_set(chi, convention)
     assert lk.verify_closure(result)
     assert lk.verify_closure(tampered(result))  # the copy the mutation tests start from
+    # and the candidate set of every parabolic index the origin satisfies
+    for i in range(ctx.rank):
+        p = lk.ParabolicSubset(ctx, frozenset({i}))
+        if lk.in_lambda_p_plus(chi.algebraic, p):
+            cands = lk.verma_factor_candidates(chi, p, convention)
+            assert cands.parabolic == {i}
+            assert lk.verify_closure(cands)
+            assert lk.verify_closure(tampered(cands))
+
+
+def b2_candidates():
+    """The B_2 x2 closure at ((0,0),(1,2)) and its candidate set for the
+    parabolic {1}: 16 of the 64 members."""
+    ctx = context("B_2", embeddings=2)
+    chi = char(ctx, [(0, 0), (1, 2)])
+    full = lk.strongly_linked_set(chi, "paper")
+    cands = lk.verma_factor_candidates(chi, lk.ParabolicSubset(ctx, frozenset({1})), "paper")
+    assert (len(full), len(cands)) == (64, 16)
+    return full, cands
+
+
+def test_verify_closure_accepts_a_candidate_set():
+    full, cands = b2_candidates()
+    assert lk.verify_closure(full)
+    assert lk.verify_closure(cands)
+    # the filter is part of the claim: neither set passes as the other
+    assert not lk.verify_closure(dataclasses.replace(full, parabolic=cands.parabolic))
+    assert not lk.verify_closure(dataclasses.replace(cands, parabolic=frozenset()))
+
+
+def test_verify_closure_rejects_a_kept_candidate_the_filter_drops():
+    full, cands = b2_candidates()
+    dropped = full.members - cands.members
+    kept = cands.members - {cands.origin}
+    chains = {m: full.witness[m] for m in full.members}
+    for m in dropped:
+        assert not lk.verify_closure(tampered(cands, cands.members | {m}, chains))
+    # in place of a kept one, so that the count still matches
+    for m, k in zip(sorted(dropped, key=coords), sorted(kept, key=coords)):
+        assert not lk.verify_closure(tampered(cands, cands.members - {k} | {m}, chains))
+
+
+def test_verify_closure_rejects_a_dropped_candidate_the_filter_keeps():
+    _, cands = b2_candidates()
+    for m in cands.members:
+        assert not lk.verify_closure(tampered(cands, cands.members - {m}))
+
+
+def test_verify_closure_rejects_a_member_outside_the_product():
+    # A_2 x2 at ((0,0),(1,-2)): (0,-3) is in the dot orbit of (1,-2) but
+    # only in its shifted closure; in place of a member the count matches
+    ctx = context("A_2", embeddings=2)
+    result = lk.strongly_linked_set(char(ctx, [(0, 0), (1, -2)]), "paper")
+    assert len(result) == 18  # 6 x 3
+    outside = [
+        char(ctx, [(0, 0), (0, -3)]),
+        char(ctx, [(7, 7), (1, -2)]),
+        char(ctx, [(0, 0), (1, -2)], tag="other"),
+        char(context("A_2", embeddings=2, central=1), [(0, 0, 0), (1, -2, 0)]),
+    ]
+    for extra in outside:
+        # the chain of the member with the same rows, if there is one
+        twin = next((m for m in result.members if coords(m) == coords(extra)), None)
+        for member in result.members - {result.origin, twin}:
+            chains = {m: result.witness[m] for m in result.members - {member}}
+            chains[extra] = result.witness[twin or member]
+            assert not lk.verify_closure(tampered(result, result.members - {member} | {extra}, chains))
+
+
+def test_verify_closure_rejects_a_parabolic_index_outside_the_context():
+    result = lk.strongly_linked_set(char(context("A_2"), [(0, 0)]), "paper")
+    for index in (2, -1):
+        assert not lk.verify_closure(dataclasses.replace(result, parabolic=frozenset({index})))
 
 
 def test_verify_closure_rejects_a_dropped_member():
@@ -233,3 +327,13 @@ def test_verify_closure_rejects_a_missing_chain():
         assert not lk.verify_closure(tampered(result, chains=chains))
     origin_dropped = result.members - {result.origin}
     assert not lk.verify_closure(tampered(result, origin_dropped))
+
+
+def test_oracle_never_reaches_the_search_kernel():
+    # the certificates and the chain oracle check the kernel's results, so
+    # the oracle module binds neither the kernel nor the closure engine on it
+    from linkage_kit import _kernel, linkage, oracle
+
+    bound = vars(oracle)
+    assert "_kernel" not in bound and "_embedding_closures" not in bound
+    assert not any(v is _kernel or v is linkage or v is linkage._embedding_closures for v in bound.values())

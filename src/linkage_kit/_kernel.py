@@ -1,19 +1,16 @@
 """The search kernel, in root coordinates, on arbitrary-precision ints.
 
-linkage_bfs closes one embedding's block under gated dot reflections: the
-linkage gates of linkage.strongly_linked_set and the sets built on it, or
-the orbit gates of linkage.dot_orbit.  It is the one place where gates are
-built and a block is shifted by rho and back; its breadth-first search
-(bfs) over the reflection step (reflection_children) is shared with the
-tests' reference searches.
+linkage_bfs closes one embedding's semisimple row under gated dot
+reflections: the linkage gates of linkage.strongly_linked_set and the sets
+built on it, or the orbit gates of linkage.dot_orbit.  It is the one place
+where gates are built and a row is encoded, shifted by rho and decoded.
 
-A state is one embedding's block of scaled-integer coordinates (see
-weights_chars.integer_encoding) with a fixed positive denominator d, which
-no linkage move can change.  The search runs on the rho-shifted blocks
-key = m + d, which is d*(lambda + rho) in fundamental coordinates.  There a
-dot reflection is linear and maps each coroot to plus or minus a coroot,
-so on the signed pairings E = (q, -q), q[beta] = <key, beta^vee>, a gate
-is one read of E and a child is a fixed selection from E (see
+A state is the row's scaled-integer block (weights_chars.encode_row) with
+its positive denominator d, which no linkage move can change, shifted by
+rho: key = m + d, which is d*(lambda + rho) in fundamental coordinates.
+There a dot reflection is linear and maps each coroot to plus or minus a
+coroot, so on the signed pairings E = (q, -q), q[beta] = <key, beta^vee>,
+a gate is one read of E and a child is a fixed selection from E (see
 reflection_table).
 """
 
@@ -21,10 +18,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import lru_cache, partial
-from operator import add, itemgetter, sub
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import OrbitGuardExceeded
+from .weights_chars import decode_block, encode_row
 
 
 class ReflectionTable(NamedTuple):
@@ -92,58 +90,25 @@ def _build_table(coroots, fund) -> ReflectionTable:
     return ReflectionTable(tuple(sums), position, tuple(picks))
 
 
-def reflection_children(sums, gates, d, key):
-    """(label, child) for every gate (label, place, bound, pick) that
-    passes on the shifted block ``key``: E[place] >= bound and d divides
-    E[place], where E is built by ``sums`` as in reflection_table; the
-    child is pick(E)."""
-    q = list(key)
-    for p, i in sums:
-        q.append(q[p] + q[i])
-    q += [-x for x in q]
-    return [
-        (label, pick(q)) for label, at, bound, pick in gates if (v := q[at]) >= bound and not v % d
-    ]
+def linkage_bfs(rs, row, convention, guard):
+    """Breadth-first closure of one embedding's semisimple ``row`` (a
+    tuple of Fractions) of root system rs under gated dot reflections.
 
-
-def bfs(start, children, guard):
-    """Breadth-first closure of ``start`` under ``children``, which maps a
-    state to its (label, child state) pairs; states are compared exactly.
-
-    Returns (states, parent_state, parent_label): states[0] is the start,
-    and for n > 0 the first discovered edge into states[n] came from
-    states[parent_state[n]] with label parent_label[n].
-
-    Raises OrbitGuardExceeded when more than ``guard`` states are found.
-    """
-    index = {start: 0}
-    states = [start]
-    parent_state = [-1]
-    parent_label = [-1]
-    for head, state in enumerate(states):  # grows while it is walked
-        for label, child in children(state):
-            if child not in index:
-                if len(index) >= guard:
-                    raise OrbitGuardExceeded(f"search exceeded the visited-state cap {guard}")
-                index[child] = len(states)
-                states.append(child)
-                parent_state.append(head)
-                parent_label.append(label)
-    return states, parent_state, parent_label
-
-
-def linkage_bfs(rs, d, start, convention, guard):
-    """Closure of the block ``start`` (denominator d) of root system rs
-    under gated dot reflections: bfs over reflection_children from the
-    rho-shifted block, with the states unshifted and parent labels the
-    root indices.
+    Returns (rows, parent_state, parent_label): rows[0] is ``row`` itself,
+    and for n > 0 the first discovered edge into rows[n] came from
+    rows[parent_state[n]] at root index parent_label[n].  States are
+    compared exactly, on their scaled-integer keys.
 
     Under a linkage convention the gate at root r reads q = <key, r^vee>:
     d must divide q, and q >= d * ht(r^vee) under "paper" (the plain
     pairing is >= 0) or q >= 1 under "shifted".  Either bound excludes
     q = 0, so every gated reflection moves the state.  Convention None
     gives the orbit gates: every simple reflection that moves the state,
-    that is q_i != 0, so the closure is the block's dot orbit."""
+    that is q_i != 0, so the closure is the row's dot orbit.
+
+    Raises OrbitGuardExceeded when more than ``guard`` states are found.
+    """
+    d, nums = encode_row(row)
     table = reflection_table(rs)
     if convention is None:
         # simple coroot i sits at place i, its negative at nroots + i
@@ -157,9 +122,28 @@ def linkage_bfs(rs, d, start, convention, guard):
             for r, height in enumerate(rs.coroot_heights)
         ]
         modulus = d
-    children = partial(reflection_children, table.sums, gates, modulus)
-    shift = (d,) * len(start)
-    states, parent_state, parent_label = bfs(tuple(map(add, start, shift)), children, guard)
-    for n, key in enumerate(states):
-        states[n] = tuple(map(sub, key, shift))
-    return states, parent_state, parent_label
+    sums = table.sums
+    start = tuple([x + d for x in nums])
+    index = {start: 0}
+    keys = [start]
+    parent_state = [-1]
+    parent_label = [-1]
+    for head, key in enumerate(keys):  # grows while it is walked
+        q = list(key)
+        for p, i in sums:
+            q.append(q[p] + q[i])
+        q += [-x for x in q]
+        for label, at, bound, pick in gates:
+            v = q[at]
+            if v >= bound and not v % modulus:
+                child = pick(q)
+                if child not in index:
+                    if len(keys) >= guard:
+                        raise OrbitGuardExceeded(f"search exceeded the visited-state cap {guard}")
+                    index[child] = len(keys)
+                    keys.append(child)
+                    parent_state.append(head)
+                    parent_label.append(label)
+    rows = [row]
+    rows += [decode_block(d, [x - d for x in key]) for key in keys[1:]]
+    return rows, parent_state, parent_label

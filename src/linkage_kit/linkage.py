@@ -5,14 +5,13 @@ A gated dot reflection at a global root (sigma, r) reads and writes only
 component sigma, so the reachability graph of a character is the
 Cartesian product of its per-embedding graphs, and the strong-linkage
 closure is the product of the per-embedding closures.  The search runs
-one breadth-first closure per distinct (semisimple block, denominator),
-deduplicated on exact scaled-integer coordinates, and takes the product;
-the chain count explodes combinatorially but each factor is bounded by
-the dot orbit, so BFS is the right algorithm.  Witness chains are built
-on lookup from the per-embedding BFS trees; a chain replays from the
-origin to its member, and nothing more (no minimality, no particular
-chain) is promised.  Under the orbit gates the same per-embedding search
-gives the dot orbit.
+the kernel's breadth-first closure (_kernel.linkage_bfs) on each
+embedding's semisimple row and takes the product; the chain count
+explodes combinatorially but each factor is bounded by the dot orbit, so
+BFS is the right algorithm.  Witness chains are built on lookup from the
+per-embedding BFS trees; a chain replays from the origin to its member,
+and nothing more (no minimality, no particular chain) is promised.  Under
+the orbit gates the same per-embedding search gives the dot orbit.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ from .weights_chars import (
     WeightL,
     _weight_unchecked,
     check_convention,
-    decode_block,
     dot_reflect_char,
-    integer_encoding,
     is_alpha_dominant,
+    row_key,
 )
 
 DEFAULT_ORBIT_GUARD = 10**6
@@ -144,14 +142,16 @@ class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
         if chi not in self._members:
             raise KeyError(chi)
         if self._index is None:
-            self._index = [{row: n for n, row in enumerate(rows)} for rows, _, _ in self._closures]
+            self._index = [
+                {row_key(row): n for n, row in enumerate(rows)} for rows, _, _ in self._closures
+            ]
         origin = self._origin
         ctx = origin.algebraic.context
         current = list(origin.algebraic.components)
         steps = []
         for sigma, (rows, parent_state, parent_root) in enumerate(self._closures):
             path = []
-            k = self._index[sigma][chi.algebraic.components[sigma]]
+            k = self._index[sigma][row_key(chi.algebraic.components[sigma])]
             while k:
                 path.append(k)
                 k = parent_state[k]
@@ -165,33 +165,24 @@ class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
 def _embedding_closures(
     lam: WeightL, convention: str | None, guard: int
 ) -> list[_EmbeddingClosure]:
-    """Per-embedding closures of lam: the kernel's linkage_bfs tree
-    (states, parent state, parent label) of each embedding's scaled-integer
-    block, under the linkage gates of ``convention`` or, for None, the
-    orbit gates; searched once per distinct (block, denominator), its
-    states decoded into rows, central block appended.  Raises
-    OrbitGuardExceeded once one embedding's search, or the product of the
-    closure sizes over the embeddings so far, exceeds ``guard``."""
-    rank = lam.context.rank
-    dens, flat = integer_encoding(lam)
-    searches: dict[tuple, _EmbeddingClosure] = {}
+    """Per-embedding closures of lam: the kernel's linkage_bfs tree of each
+    embedding's semisimple row, under the linkage gates of ``convention``
+    or, for None, the orbit gates, with the central block appended to
+    every row.  Raises OrbitGuardExceeded once one embedding's search, or
+    the product of the closure sizes over the embeddings so far, exceeds
+    ``guard``."""
+    rs = lam.context.base
     closures: list[_EmbeddingClosure] = []
     size = 1
-    for sigma, d in enumerate(dens):
-        block = flat[sigma * rank : (sigma + 1) * rank]
-        found = searches.get((block, d))
-        if found is None:
-            try:
-                states, parent_state, parent_label = _kernel.linkage_bfs(
-                    lam.context.base, d, block, convention, guard
-                )
-            except OrbitGuardExceeded:
-                raise OrbitGuardExceeded(
-                    f"search of embedding {sigma} exceeded the visited-state cap {guard}"
-                ) from None
-            found = ([decode_block(d, st) for st in states], parent_state, parent_label)
-            searches[(block, d)] = found
-        rows, parent_state, parent_label = found
+    for sigma in range(lam.context.num_embeddings):
+        try:
+            rows, parent_state, parent_label = _kernel.linkage_bfs(
+                rs, lam.semisimple(sigma), convention, guard
+            )
+        except OrbitGuardExceeded:
+            raise OrbitGuardExceeded(
+                f"search of embedding {sigma} exceeded the visited-state cap {guard}"
+            ) from None
         central = lam.central(sigma)
         if central:
             rows = [row + central for row in rows]
@@ -210,12 +201,11 @@ def dot_orbit(lam: WeightL, *, guard: int = DEFAULT_ORBIT_GUARD) -> frozenset[We
     """Full dot orbit of a weight, the ungated container of every linkage
     closure, as the product of per-embedding orbits.
 
-    Each embedding's block is closed under the kernel's orbit gates (every
+    Each embedding's row is closed under the kernel's orbit gates (every
     simple reflection that moves it), which visits exactly its orbit
-    without enumerating the Weyl group.  Repeated blocks are searched
-    once; central blocks ride along unchanged.  Raises OrbitGuardExceeded
-    as soon as one embedding's orbit or the running product exceeds
-    ``guard``.
+    without enumerating the Weyl group; central blocks ride along
+    unchanged.  Raises OrbitGuardExceeded as soon as one embedding's orbit
+    or the running product exceeds ``guard``.
     """
     closures = _embedding_closures(lam, None, guard)
     return frozenset(

@@ -7,10 +7,12 @@ state reached at several depths is expanded at each of them; every level
 is a subset of the closure, so memory is bounded by the closure size.  Its
 agreement with the BFS is the package's main self-check, exposed behind
 the CLI's --oracle flag (which runs it after the guarded closure, so the
-guard bounds its levels too).  Its gate-and-move step (_gated_children) is
-its own: it computes every pairing as a dot product with a coroot and
-moves the unshifted state along the root, while the kernel reads pairings
-and children off signed permutations of the coroots.
+guard bounds its levels too).  A state is one scaled-integer block per
+embedding in the kernel's row encoding (weights_chars.encode_row and
+decode_block), but the gate-and-move step (_gated_children) is its own:
+it computes every pairing as a dot product with a coroot and moves the
+unshifted block along the root, while the kernel reads pairings and
+children off signed permutations of the coroots.
 
 verify_closure (closures and candidate sets) and verify_orbit (dot
 orbits) certify a result through the Fraction-level primitives only, never
@@ -20,7 +22,8 @@ sigma.  So each embedding's factor is found by closing the origin's
 sigma-row under the sigma-links with the other components held at the
 origin's, recording each link; a result must be exactly the product of
 its (filtered) factors, and every witness chain must walk recorded links
-from the origin to its member.
+from the origin to its member.  Rows are looked up by weights_chars.row_key,
+which hashes ints rather than Fractions.
 """
 
 from __future__ import annotations
@@ -36,26 +39,26 @@ from .weights_chars import (
     GlobalRoot,
     LocAnChar,
     WeightL,
+    _weight_unchecked,
     check_convention,
+    decode_block,
     dot_reflect,
-    from_integer_encoding,
-    integer_encoding,
+    encode_row,
     is_alpha_dominant,
+    row_key,
 )
 
 
 def _gated_children(rs, dens, shifted, state):
     """Yield (global root index, child state) for every dominance-gated dot
-    reflection that moves the scaled-integer state (one block of root
-    system rs per denominator in dens); the index of root r in embedding
-    sigma is sigma * nroots + r."""
-    rank, coroots, fund, heights = rs.rank, rs.coroot_coeffs, rs.root_fund, rs.coroot_heights
+    reflection that moves the state, a tuple of scaled-integer blocks of
+    root system rs, one per denominator in dens; the index of root r in
+    embedding sigma is sigma * nroots + r."""
+    coroots, fund, heights = rs.coroot_coeffs, rs.root_fund, rs.coroot_heights
     nroots = len(heights)
-    for sigma, d in enumerate(dens):
-        base = sigma * rank
+    for sigma, (d, block) in enumerate(zip(dens, state)):
         for r in range(nroots):
-            k = coroots[r]
-            num = sum(k[i] * state[base + i] for i in range(rank))
+            num = sum(k * x for k, x in zip(coroots[r], block))
             if num % d:
                 continue  # pairing not an integer
             if shifted:
@@ -66,10 +69,9 @@ def _gated_children(rs, dens, shifted, state):
             coeff = num // d + heights[r]
             if coeff == 0:
                 continue
-            f = fund[r]
+            step = coeff * d
             child = list(state)
-            for i in range(rank):
-                child[base + i] -= coeff * d * f[i]
+            child[sigma] = tuple([x - step * f for x, f in zip(block, fund[r])])
             yield sigma * nroots + r, tuple(child)
 
 
@@ -87,9 +89,10 @@ def stabilized_chain_set(chi: LocAnChar, convention: str) -> frozenset[LocAnChar
     time is about the closure size times the longest sequence, since a
     state reached at several depths is expanded at each of them."""
     check_convention(convention)
-    ctx = chi.algebraic.context
-    dens, start = integer_encoding(chi.algebraic)
-    centrals = tuple(chi.algebraic.central(s) for s in range(ctx.num_embeddings))
+    lam = chi.algebraic
+    ctx = lam.context
+    dens, start = zip(*(encode_row(lam.semisimple(s)) for s in range(ctx.num_embeddings)))
+    centrals = [lam.central(s) for s in range(ctx.num_embeddings)]
     step = partial(_gated_children, ctx.base, dens, convention == "shifted")
     level = {start}
     endpoints = set(level)
@@ -98,21 +101,17 @@ def stabilized_chain_set(chi: LocAnChar, convention: str) -> frozenset[LocAnChar
         if level <= endpoints:
             break
         endpoints |= level
-    return frozenset(
-        LocAnChar(from_integer_encoding(ctx, dens, st, centrals), chi.smooth_tag)
-        for st in endpoints
-    )
+
+    def decode(state):
+        rows = (decode_block(d, block) + c for d, block, c in zip(dens, state, centrals))
+        return LocAnChar(_weight_unchecked(ctx, tuple(rows)), chi.smooth_tag)
+
+    return frozenset(map(decode, endpoints))
 
 
 # moves(weight, sigma) yields (root index, moved weight) for every link out
 # of the weight that moves its sigma-row
 _Moves = Callable[[WeightL, int], Iterator[tuple[int, WeightL]]]
-
-
-def _row_key(row: tuple) -> tuple:
-    """A row as (numerator, denominator) pairs: ints hash and compare in C,
-    where a Fraction's hash takes a modular inverse."""
-    return tuple([(x.numerator, x.denominator) for x in row])
 
 
 def _gated_moves(tag: str, convention: str, lam: WeightL, sigma: int):
@@ -143,13 +142,13 @@ def _factor(lam: WeightL, sigma: int, moves: _Moves):
     lam's: the rows in discovery order (lam's first), each row's key to its
     number, and the recorded links (row number, root index) -> row number."""
     rows = [lam.components[sigma]]
-    numbers = {_row_key(rows[0]): 0}
+    numbers = {row_key(rows[0]): 0}
     links: dict[tuple[int, int], int] = {}
     weights = [lam]
     for n, weight in enumerate(weights):  # grows while it is walked
         for r, moved in moves(weight, sigma):
             row = moved.components[sigma]
-            key = _row_key(row)
+            key = row_key(row)
             m = numbers.get(key)
             if m is None:
                 m = numbers[key] = len(rows)
@@ -166,7 +165,7 @@ def _row_numbers(lam: WeightL, ctx: EmbeddingContext, numbers: list[dict]) -> li
         return None
     out = []
     for row, index in zip(lam.components, numbers):
-        n = index.get(_row_key(row))
+        n = index.get(row_key(row))
         if n is None:
             return None
         out.append(n)
@@ -192,7 +191,7 @@ def _replay(chain: LinkageChain, origin: LocAnChar, factors: list) -> list[int] 
             or to.smooth_tag != origin.smooth_tag
             or to.algebraic.context != origin.algebraic.context
             or len(rows) != len(current)
-            or numbers.get(_row_key(rows[sigma])) != n
+            or numbers.get(row_key(rows[sigma])) != n
             or rows[:sigma] != current[:sigma]
             or rows[sigma + 1 :] != current[sigma + 1 :]
         ):

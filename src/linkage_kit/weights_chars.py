@@ -243,23 +243,21 @@ def dot_reflect_char(chi: LocAnChar, r: GlobalRoot) -> LocAnChar:
     return LocAnChar(dot_reflect(chi.algebraic, r), chi.smooth_tag)
 
 
-def integer_encoding(lam: WeightL):
-    """Scaled-integer encoding of the semisimple blocks for the kernels.
+def row_key(row: Sequence[Fraction]) -> tuple:
+    """A row as (numerator, denominator) pairs: ints hash and compare in C,
+    where a Fraction's hash takes a modular inverse."""
+    return tuple([(x.numerator, x.denominator) for x in row])
 
-    Per embedding, coordinates are multiplied by the least common
-    denominator D so that gate tests become divisibility tests and dot
-    reflections become integer vector updates; D never changes along a
-    linkage move.  Returns (denominators, flat numerator vector).
-    """
-    ctx = lam.context
-    dens = []
-    flat = []
-    for sigma in range(ctx.num_embeddings):
-        ss = lam.semisimple(sigma)
-        d = lcm(*(x.denominator for x in ss)) if ss else 1
-        dens.append(d)
-        flat.extend(int(x * d) for x in ss)
-    return tuple(dens), tuple(flat)
+
+def encode_row(row: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Scaled-integer encoding of one embedding's semisimple row for the
+    search kernel and the chain oracle: (d, nums), where d is the least
+    common denominator and nums the coordinates times d.  Gate tests
+    become divisibility tests and dot reflections integer vector updates;
+    d never changes along a linkage move.  decode_block(d, nums) gives the
+    row back."""
+    d = lcm(*(x.denominator for x in row))
+    return d, tuple([x.numerator * (d // x.denominator) for x in row])
 
 
 # small integers dominate kernel output; skip Fraction.__new__ for them
@@ -272,18 +270,3 @@ def decode_block(d: int, nums: Sequence[int]) -> tuple[Fraction, ...]:
         small = _SMALL_FRACTIONS
         return tuple(small[n] if -128 <= n <= 128 else Fraction(n) for n in nums)
     return tuple(Fraction(n, d) for n in nums)
-
-
-def from_integer_encoding(
-    ctx: EmbeddingContext,
-    dens: Sequence[int],
-    flat: Sequence[int],
-    centrals: Sequence[tuple[Fraction, ...]],
-) -> WeightL:
-    """Inverse of :func:`integer_encoding`, reattaching central blocks."""
-    rank = ctx.rank
-    rows = tuple(
-        decode_block(dens[sigma], flat[sigma * rank : (sigma + 1) * rank]) + tuple(centrals[sigma])
-        for sigma in range(ctx.num_embeddings)
-    )
-    return _weight_unchecked(ctx, rows)

@@ -337,3 +337,5 @@ def test_oracle_never_reaches_the_search_kernel():
     bound = vars(oracle)
     assert "_kernel" not in bound and "_embedding_closures" not in bound
     assert not any(v is _kernel or v is linkage or v is linkage._embedding_closures for v in bound.values())
+    # nor any name imported from the kernel, such as its search
+    assert not any(getattr(v, "__module__", None) == _kernel.__name__ for v in bound.values())

@@ -1,11 +1,12 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import linkage_kit as lk
-from linkage_kit.weights_chars import from_integer_encoding, integer_encoding
+from linkage_kit.weights_chars import decode_block, encode_row
 from util import char, context, random_weight, weight
 
 
@@ -211,10 +212,12 @@ def test_int_and_fraction_coordinates_give_equal_weights():
 
 def test_integer_encoding_round_trip():
     rng = random.Random(23)
-    ctx = context("B_2", embeddings=2, central=1)
+    rank = context("B_2").rank
     for _ in range(30):
-        lam = random_weight(ctx, rng)
-        dens, flat = integer_encoding(lam)
-        centrals = tuple(lam.central(s) for s in range(2))
-        assert from_integer_encoding(ctx, dens, flat, centrals) == lam
-        assert all(d >= 1 for d in dens)
+        d = rng.randint(1, 4)
+        row = tuple(Fraction(rng.randint(-9 * d, 9 * d), d) for _ in range(rank))
+        e, nums = encode_row(row)
+        assert e == lcm(*(x.denominator for x in row)) and d % e == 0
+        assert all(type(n) is int for n in nums)
+        decoded = decode_block(e, nums)
+        assert decoded == row and all(type(x) is Fraction for x in decoded)

@@ -30,7 +30,6 @@ from .linkage import (
     noncritical_obstruction_set,
     strongly_linked_set,
     verma_factor_candidates,
-    weight_sort_key,
 )
 from .oracle import stabilized_chain_set
 from .parabolic import ParabolicSubset, in_lambda_p_plus
@@ -44,6 +43,7 @@ from .weights_chars import (
     global_pairing,
     is_alpha_dominant,
     is_alpha_integral,
+    weight_sort_key,
 )
 
 SCHEMA = "linkage-kit/1"

@@ -37,15 +37,10 @@ from .weights_chars import (
     dot_reflect_char,
     is_alpha_dominant,
     row_key,
+    weight_sort_key,
 )
 
 DEFAULT_ORBIT_GUARD = 10**6
-
-
-def weight_sort_key(lam: WeightL):
-    """Lexicographic key on all coordinates as (num, den) pairs; fixes the
-    order of weight lists in output."""
-    return tuple((x.numerator, x.denominator) for row in lam.components for x in row)
 
 
 def char_sort_key(chi: LocAnChar):

@@ -45,15 +45,6 @@ class EmbeddingContext:
         if self.central_dim < 0:
             raise ValueError("central_dim must be >= 0")
 
-    def __hash__(self):
-        # the Cartan matrix determines the rest of the (deterministically
-        # built) root-system data, so it is enough for a consistent hash
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.base.cartan, self.num_embeddings, self.central_dim))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     @property
     def rank(self) -> int:
         return self.base.rank
@@ -96,7 +87,14 @@ def _exact(x) -> Fraction:
 @dataclass(frozen=True)
 class WeightL:
     """Element of the weight space: one rational vector per embedding, in
-    fundamental-weight coordinates (plus the central block, if any)."""
+    fundamental-weight coordinates (plus the central block, if any).
+
+    Identity: two weights are equal when their contexts and coordinates
+    are.  The hash is that of weight_sort_key, the coordinates' (num, den)
+    pairs: ints hash the same in every process and skip the modular
+    inverse of a Fraction's hash.  The context is compared but not
+    hashed, and nothing is cached on the instance, so a pickled weight,
+    or a set of them, compares equal in another process."""
 
     context: EmbeddingContext
     components: tuple[tuple[Fraction, ...], ...]
@@ -118,22 +116,19 @@ class WeightL:
         object.__setattr__(self, "components", rows)
 
     def __hash__(self):
-        # hashing (numerator, denominator) pairs avoids the modular-inverse
-        # hash of Fraction; cached because linkage sets hash members a lot
-        h = self.__dict__.get("_hash")
-        if h is None:
-            key = tuple(
-                (x.numerator, x.denominator) for row in self.components for x in row
-            )
-            h = hash((hash(self.context), key))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(weight_sort_key(self))
 
     def semisimple(self, sigma: int) -> tuple[Fraction, ...]:
         return self.components[sigma][: self.context.rank]
 
     def central(self, sigma: int) -> tuple[Fraction, ...]:
         return self.components[sigma][self.context.rank :]
+
+
+def weight_sort_key(lam: WeightL) -> tuple:
+    """All coordinates as (num, den) pairs: a weight's hash, and the
+    lexicographic key that fixes the order of weight lists in output."""
+    return tuple([(x.numerator, x.denominator) for row in lam.components for x in row])
 
 
 @dataclass(frozen=True)
@@ -143,13 +138,6 @@ class LocAnChar:
 
     algebraic: WeightL
     smooth_tag: str
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((hash(self.algebraic), self.smooth_tag))
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 def require_same_context(a: EmbeddingContext, b: EmbeddingContext) -> None:

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -387,3 +390,45 @@ def test_guard_across_embeddings():
     chi2 = char(ctx2, [(Fraction(1, 2), 0), (0, 0)])
     with pytest.raises(lk.OrbitGuardExceeded, match="embedding 1 exceeded"):
         lk.strongly_linked_set(chi2, "paper", guard=5)
+
+
+_PICKLE_WRITE = """
+import pickle, sys
+import linkage_kit as lk
+ctx = lk.EmbeddingContext(lk.build_root_system("B_2"), 2, 1)
+chi = lk.LocAnChar(lk.WeightL(ctx, ((0, 0, -1), (0, 0, 2))), "t")
+result = lk.strongly_linked_set(chi, "paper")
+with open(sys.argv[1], "wb") as f:
+    pickle.dump((result, lk.dot_orbit(chi.algebraic)), f)
+"""
+
+_PICKLE_READ = """
+import pickle, sys
+import linkage_kit as lk
+with open(sys.argv[1], "rb") as f:
+    result, orbit = pickle.load(f)
+ctx = lk.EmbeddingContext(lk.build_root_system("B_2"), 2, 1)
+origin = lk.LocAnChar(lk.WeightL(ctx, ((0, 0, -1), (0, 0, 2))), "t")
+fresh = lk.strongly_linked_set(origin, "paper")
+assert len(fresh) > 1
+assert result.members == fresh.members
+assert orbit == lk.dot_orbit(origin.algebraic)
+for chi in fresh.members:
+    assert chi in result.members and chi.algebraic in orbit
+    assert result.witness[chi] == fresh.witness[chi]
+print("ok")
+"""
+
+
+def test_results_pickle_across_hash_seeds(tmp_path):
+    # a string hash, and so a hash that mixes in the smooth tag, changes
+    # with the hash seed: members must not carry one across processes
+    src = os.path.dirname(os.path.dirname(lk.__file__))
+    path = str(tmp_path / "result.pickle")
+    for seed, script in (("1", _PICKLE_WRITE), ("2", _PICKLE_READ)):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, path], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 
 import linkage_kit as lk
-from linkage_kit.weights_chars import decode_block, encode_row
+from linkage_kit.weights_chars import _weight_unchecked, decode_block, encode_row
 from util import char, context, random_weight, weight
 
 
@@ -221,3 +221,26 @@ def test_integer_encoding_round_trip():
         assert all(type(n) is int for n in nums)
         decoded = decode_block(e, nums)
         assert decoded == row and all(type(x) is Fraction for x in decoded)
+
+
+def test_weight_identity_contract():
+    ctx = context("A_2")
+    public = lk.WeightL(ctx, ((-2, 1),))
+    unchecked = _weight_unchecked(ctx, ((Fraction(-2), Fraction(1)),))
+    origin = char(ctx, [(0, 0)])
+    decoded = next(
+        m.algebraic
+        for m in lk.strongly_linked_set(origin, "paper").members
+        if m.algebraic.components == ((-2, 1),)
+    )
+    assert public == unchecked == decoded
+    assert hash(public) == hash(unchecked) == hash(decoded)
+    assert len({public, unchecked, decoded}) == 1
+    # the context is compared but not hashed
+    other = weight(context("A_1xA_1"), [(-2, 1)])
+    assert other != public and hash(other) == hash(public)
+    assert len({public, other}) == 2
+    # nothing is cached on the instance
+    for w in (public, unchecked, decoded):
+        hash(w)
+        assert set(vars(w)) == {"context", "components"}

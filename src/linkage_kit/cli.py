@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Jobs arrive either as flags or as a JSON job file (--job supersedes
-flags).  Either way the job is a plain dict, its own document in normal
-form (``jobspec_from_dict``); the commands read it, and the output echoes
-it under "job" with the root system in canonical form.  Parsing the echo
+flags).  Either way ``jobspec_from_dict`` checks the job whole, before
+any root is generated, and returns it as a plain dict: its own document
+in normal form, with the root system's type name in canonical form.  The
+commands read it, and the output echoes it under "job"; parsing the echo
 again returns it unchanged.  Output is a deterministic JSON document on
 stdout, byte for byte
 ``json.dumps(document, indent=2, sort_keys=True)`` (canonical "p/q"
@@ -19,9 +20,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import rootsys
 from .errors import InvalidCartan, LinkageKitError, OrbitGuardExceeded
 from .linkage import (
     DEFAULT_ORBIT_GUARD,
@@ -32,7 +33,7 @@ from .linkage import (
     verma_factor_candidates,
 )
 from .oracle import stabilized_chain_set
-from .parabolic import ParabolicSubset, in_lambda_p_plus
+from .parabolic import ParabolicSubset, in_lambda_p_plus, row_in_lambda_p_plus
 from .rationals import format_rational, parse_rational
 from .rootsys import build_root_system
 from .weights_chars import (
@@ -88,10 +89,18 @@ def _as_int(value, field: str, minimum: int | None = None) -> int:
 def jobspec_from_dict(data: dict) -> dict:
     """Validate a job document and return the job in normal form.
 
+    This is the one place that decides whether a job is valid.  Besides
+    the fields it checks the root system (a known type name, or a Cartan
+    matrix of finite type), each parabolic index against the rank, each
+    row's coordinate count, and for ``candidates`` and ``obstructions``
+    that the character is parabolic-dominant; the rank comes from the name
+    or the matrix, so no root is generated.
+
     The normal form is itself a job document (plain lists, ints, strings
-    and booleans): every field present, ``parabolic`` sorted without
-    repeats, coordinates as canonical "p/q" strings.  Parsing it again
-    returns an equal dict.
+    and booleans): every field present, a type name in canonical form
+    ("A1xA1" becomes "A_1xA_1"), ``parabolic`` sorted without repeats,
+    coordinates as canonical "p/q" strings.  Parsing it again returns an
+    equal dict.
     """
     _expect(isinstance(data, dict), "job", "job document must be a JSON object")
     known = {
@@ -143,16 +152,16 @@ def jobspec_from_dict(data: dict) -> dict:
         "character.coords",
         f"expected {embeddings} coordinate rows, got {len(raw_coords)}",
     )
-    coords = []
+    rows = []
     for s, row in enumerate(raw_coords):
         _expect(isinstance(row, (list, tuple)), f"character.coords[{s}]", "expected a list")
         parsed = []
         for k, text in enumerate(row):
             try:
-                parsed.append(format_rational(parse_rational(text)))
+                parsed.append(parse_rational(text))
             except ValueError as exc:
                 raise ValidationError(f"character.coords[{s}][{k}]", str(exc)) from None
-        coords.append(parsed)
+        rows.append(parsed)
     smooth_tag = character.get("smooth_tag", "triv")
     _expect(isinstance(smooth_tag, str), "character.smooth_tag", "expected a string")
 
@@ -177,6 +186,35 @@ def jobspec_from_dict(data: dict) -> dict:
             f"not supported by the {command} command; only by {', '.join(commands)}",
         )
 
+    # the rank comes from the name or the matrix; no root is generated
+    try:
+        if isinstance(root_system, str):
+            factors = rootsys._parse_name(root_system)
+            root_system = rootsys._canonical_name(factors)
+            rank = sum(n for _, n in factors)
+        else:
+            rootsys._check_finite_type(rootsys._validate_cartan_shape(root_system))
+            rank = len(root_system)
+    except InvalidCartan as exc:
+        raise ValidationError("root_system", str(exc)) from None
+    for i in parabolic:
+        _expect(i <= rank, "parabolic", f"index {i} exceeds rank {rank}")
+    for s, row in enumerate(rows):
+        _expect(
+            len(row) == rank + central,
+            f"character.coords[{s}]",
+            f"expected {rank + central} coordinates (rank {rank} + central {central}), "
+            f"got {len(row)}",
+        )
+    # candidates and obstructions both need a parabolic-dominant character
+    if command in ("candidates", "obstructions"):
+        _expect(
+            all(row_in_lambda_p_plus(row, [i - 1 for i in parabolic]) for row in rows),
+            "character.coords",
+            "character is not dominant-integral for the parabolic subset",
+        )
+    coords = [[format_rational(x) for x in row] for row in rows]
+
     return {
         "root_system": root_system,
         "embeddings": embeddings,
@@ -192,43 +230,14 @@ def jobspec_from_dict(data: dict) -> dict:
 
 
 def _normalize_job(job: dict):
-    """Resolve the job against actual root-system data.
-
-    Returns the job with its root system in canonical form (the type name
-    as ``build_root_system`` spells it, or the matrix) as a new dict, plus
-    the live objects the commands run on; ``job`` itself is not changed.
-    """
-    try:
-        rs = build_root_system(job["root_system"])
-    except InvalidCartan as exc:
-        raise ValidationError("root_system", str(exc)) from None
-
-    for i in job["parabolic"]:
-        _expect(i <= rs.rank, "parabolic", f"index {i} exceeds rank {rs.rank}")
-
-    ctx = EmbeddingContext(rs, job["embeddings"], job["central"])
-    dim = ctx.dim
-    rows = []
-    for s, row in enumerate(job["character"]["coords"]):
-        _expect(
-            len(row) == dim,
-            f"character.coords[{s}]",
-            f"expected {dim} coordinates (rank {rs.rank} + central {job['central']}), "
-            f"got {len(row)}",
-        )
-        rows.append(tuple(Fraction(x) for x in row))
-    chi = LocAnChar(WeightL(ctx, tuple(rows)), job["character"]["smooth_tag"])
+    """Build what a job in normal form runs on: its embedding context,
+    character and parabolic subset.  ``jobspec_from_dict`` has checked
+    the job whole, so nothing here rejects it."""
+    ctx = EmbeddingContext(build_root_system(job["root_system"]), job["embeddings"], job["central"])
+    rows = tuple(tuple(map(parse_rational, row)) for row in job["character"]["coords"])
+    chi = LocAnChar(WeightL(ctx, rows), job["character"]["smooth_tag"])
     parabolic = ParabolicSubset(ctx, frozenset(i - 1 for i in job["parabolic"]))
-    # candidates and obstructions both need a parabolic-dominant character
-    if job["command"] in ("candidates", "obstructions"):
-        _expect(
-            in_lambda_p_plus(chi.algebraic, parabolic),
-            "character.coords",
-            "character is not dominant-integral for the parabolic subset",
-        )
-
-    root_system = rs.name if rs.name is not None else [list(row) for row in rs.cartan]
-    return {**job, "root_system": root_system}, ctx, chi, parabolic
+    return ctx, chi, parabolic
 
 
 def _coords_doc(weight: WeightL) -> list[list[str]]:
@@ -269,9 +278,11 @@ def _orbit_guard() -> int:
 
 def run(job: dict) -> tuple[int, dict]:
     """Execute a job in normal form (as ``jobspec_from_dict`` returns it);
-    returns (exit code, output document).  ``job`` is not changed."""
-    job, ctx, chi, parabolic = _normalize_job(job)
+    returns (exit code, output document), which echoes ``job`` as given
+    under "job".  ``job`` is not changed.  The orbit guard is read from the
+    environment before anything is built."""
     guard = _orbit_guard()
+    ctx, chi, parabolic = _normalize_job(job)
     command = job["command"]
     convention = job["convention"]
 

@@ -3,21 +3,24 @@
 q is always positive and gcd(p, q) = 1, so equal rationals serialize to
 equal strings.  Input is an integer or "p/q" (optional sign, surrounding
 whitespace); decimals and exponents are refused, since Fraction would
-compute 10**exp for a short text like "1e100000000".
+compute 10**exp for a short text like "1e100000000".  Any exact rational
+prints in full, also past the digit limit of int-to-str conversion.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 _RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
-def format_rational(x: Fraction) -> str:
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(x: Fraction | int) -> str:
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # an integer past str's digit limit; Decimal prints it exactly
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def parse_rational(text: str | int) -> Fraction:

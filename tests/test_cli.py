@@ -47,9 +47,10 @@ def test_malformed_rational_is_field_error():
     assert err.value.field == "character.coords[0][0]"
 
 
-@pytest.mark.parametrize("text", ["1e3", "2.5"])
+@pytest.mark.parametrize("text", ["1e3", "2.5", pytest.param("9" * 4301, id="4301_digits")])
 def test_only_integers_and_fractions_are_rationals(text):
-    # Fraction would accept these, and compute 10**exp for an exponent
+    # Fraction would accept the first two, and compute 10**exp for an
+    # exponent; int() refuses a text past its digit limit
     with pytest.raises(ValidationError) as err:
         make_job(character={"coords": [[text]], "smooth_tag": "t"})
     assert err.value.field == "character.coords[0][0]"
@@ -105,25 +106,26 @@ def test_root_count_fault_is_not_a_validation_error(monkeypatch, capsys):
 
 
 def test_parabolic_index_validation():
-    job = make_job(parabolic=[3])
     with pytest.raises(ValidationError) as err:
-        run(job)
+        make_job(parabolic=[3])
     assert err.value.field == "parabolic"
 
 
 def test_coords_dimension_validation():
-    job = make_job(character={"coords": [["1", "2"]], "smooth_tag": "t"})
-    with pytest.raises(ValidationError):
-        run(job)
+    with pytest.raises(ValidationError) as err:
+        make_job(character={"coords": [["1", "2"]], "smooth_tag": "t"})
+    assert err.value.field == "character.coords[0]"
 
 
 def test_normalized_echo_reparses_identically():
     job = make_job(root_system="A1xA1", embeddings=2,
                    character={"coords": [["0", "0"], ["4/2", "-1"]], "smooth_tag": "t"},
                    command="linkset")
+    assert job["root_system"] == "A_1xA_1"
+    assert jobspec_from_dict(job) == job
     code, doc = run(job)
     assert code == 0
-    assert doc["job"]["root_system"] == "A_1xA_1"
+    assert doc["job"] == job
     assert doc["job"]["character"]["coords"] == [["0/1", "0/1"], ["2/1", "-1/1"]]
     echoed = jobspec_from_dict(doc["job"])
     code2, doc2 = run(echoed)
@@ -545,6 +547,73 @@ def test_job_file_value_errors(overrides, field, message, tmp_path, capsys):
     path.write_text(json.dumps({**job, **overrides}))
     error = _validation_error(["--job", str(path)], capsys)
     assert (error["field"], error["message"]) == (field, message)
+
+
+@pytest.mark.parametrize(
+    "argv,guard,field,message",
+    [
+        (
+            ["--root-system", "A_200", "--weight", "0", "--command", "dominance"],
+            None,
+            "character.coords[0]",
+            "expected 200 coordinates (rank 200 + central 0), got 1",
+        ),
+        (
+            ["--root-system", "A_200", "--weight", "0", "--parabolic", "201",
+             "--command", "dominance"],
+            None,
+            "parabolic",
+            "index 201 exceeds rank 200",
+        ),
+        (
+            ["--root-system", "A_200", "--weight=-1" + ",0" * 199, "--parabolic", "1",
+             "--command", "candidates"],
+            None,
+            "character.coords",
+            "character is not dominant-integral for the parabolic subset",
+        ),
+        (
+            ["--root-system", "[[2,-2],[-2,2]]", "--weight", "0,0", "--command", "linkset"],
+            None,
+            "root_system",
+            "matrix is not of finite type",
+        ),
+        (
+            ["--root-system", "A_80", "--weight", ",".join(["0"] * 80), "--command", "dominance"],
+            "abc",
+            "env.LINKAGE_ORBIT_GUARD",
+            "not an integer: 'abc'",
+        ),
+    ],
+    ids=["coordinate_count", "parabolic_index", "not_dominant", "affine_matrix", "bad_guard"],
+)
+def test_malformed_job_fails_before_any_root_is_generated(
+    argv, guard, field, message, monkeypatch, capsys
+):
+    import linkage_kit.rootsys as rootsys
+
+    def no_roots(*args):
+        raise AssertionError("a root system was built")
+
+    monkeypatch.setattr(rootsys, "_root_system", no_roots)
+    if guard is not None:
+        monkeypatch.setenv("LINKAGE_ORBIT_GUARD", guard)
+    error = _validation_error(argv, capsys)
+    assert (error["field"], error["message"]) == (field, message)
+
+
+def test_output_numbers_past_the_int_str_limit_print_exactly(capsys):
+    # the parser takes 4300 digits, and one dot reflection adds a digit
+    nines = "9" * 4300
+    argv = ["--root-system", "A_1", "--weight", nines, "--command", "linkset"]
+    assert cli.main(argv) == 0
+    members = json.loads(capsys.readouterr().out)["result"]["members"]
+    # s . (10**4300 - 1) = -(10**4300 - 1) - 2 = -10**4300 - 1
+    assert [m["coords"] for m in members] == [[["-1" + "0" * 4299 + "1/1"]], [[nines + "/1"]]]
+    argv = ["--root-system", "A_2", "--weight", f"{nines},{nines}", "--command", "dominance"]
+    assert cli.main(argv) == 0
+    roots = json.loads(capsys.readouterr().out)["result"]["roots"]
+    assert roots[-1]["pairing"] == "1" + "9" * 4299 + "8/1"  # 2 * (10**4300 - 1)
 
 
 def test_unknown_format_is_a_format_error(tmp_path, capsys):

@@ -155,6 +155,16 @@ def test_central_class_key_examples():
     )
 
 
+def test_obstruction_keys_past_the_int_str_limit():
+    # the member -10**4300 - 1 has one digit more than int-to-str allows
+    ctx = context("A_1")
+    chi = char(ctx, [(10**4300 - 1,)])
+    p = lk.ParabolicSubset(ctx, frozenset())
+    ((member, key),) = lk.noncritical_obstruction_set(chi, p, "pi", "paper")
+    assert member.algebraic.components == ((-(10**4300) - 1,),)
+    assert '"-1' + "0" * 4299 + '1/1"' in key
+
+
 def test_central_class_key_is_serializable():
     import json
 

@@ -111,6 +111,7 @@ def test_named_matrix_matches_explicit():
         [[1, -1], [-1, 2]],  # wrong diagonal
         [[2, -1]],  # not square
         [["2", "-1"], ["-1", "2"]],  # not integers
+        [2, 2],  # rows are not sequences
     ],
 )
 def test_invalid_cartan(matrix):
@@ -151,6 +152,8 @@ def test_pairing_errors():
         rs.pairing((Fraction(0), Fraction(0)), 3)
     with pytest.raises(lk.RankMismatch):
         rs.pairing((Fraction(0),), 0)
+    with pytest.raises(lk.IndexOutOfRange):
+        rs.root_index((5, 5))
 
 
 @pytest.mark.parametrize("name,order", ORDERS)

@@ -189,6 +189,8 @@ def test_weight_validation():
         lk.WeightL(ctx, ((0, 0), (0, 0)))  # wrong component count
     with pytest.raises(ValueError):
         lk.EmbeddingContext(ctx.base, 0)
+    with pytest.raises(ValueError, match="central_dim must be >= 0"):
+        lk.EmbeddingContext(ctx.base, 1, -1)
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import rootsys
@@ -200,12 +201,13 @@ def jobspec_from_dict(data: dict) -> dict:
     for i in parabolic:
         _expect(i <= rank, "parabolic", f"index {i} exceeds rank {rank}")
     for s, row in enumerate(rows):
-        _expect(
-            len(row) == rank + central,
-            f"character.coords[{s}]",
-            f"expected {rank + central} coordinates (rank {rank} + central {central}), "
-            f"got {len(row)}",
-        )
+        if len(row) != rank + central:
+            # Decimal prints a total rank past int-to-str's digit limit ("A_<4300 nines>xA_1")
+            raise ValidationError(
+                f"character.coords[{s}]",
+                f"expected {Decimal(rank + central)} coordinates "
+                f"(rank {Decimal(rank)} + central {central}), got {len(row)}",
+            )
     # candidates and obstructions both need a parabolic-dominant character
     if command in ("candidates", "obstructions"):
         _expect(
@@ -240,26 +242,36 @@ def _normalize_job(job: dict):
     return ctx, chi, parabolic
 
 
-def _coords_doc(weight: WeightL) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in weight.components]
+def _coords_doc(weight: WeightL, formatted: dict) -> list[list[str]]:
+    """The weight's rows as lists of "p/q" strings.  ``formatted`` maps
+    id(row) to (row, its list) for the rows met so far in one ``run()``
+    call, so each distinct row is formatted once and its list shared;
+    holding the row keeps its id from being reused while the map lives."""
+    out = []
+    for row in weight.components:
+        hit = formatted.get(id(row))
+        if hit is None:
+            hit = formatted[id(row)] = (row, [format_rational(x) for x in row])
+        out.append(hit[1])
+    return out
 
 
-def _witness_doc(chain) -> list[dict]:
+def _witness_doc(chain, formatted: dict) -> list[dict]:
     return [
         {
             "root": {"sigma": r.sigma, "root_index": r.root_index},
-            "to": _coords_doc(chi.algebraic),
+            "to": _coords_doc(chi.algebraic, formatted),
         }
         for r, chi in chain.steps
     ]
 
 
-def _members_doc(result: LinkageResult, with_witness: bool) -> list[dict]:
+def _members_doc(result: LinkageResult, with_witness: bool, formatted: dict) -> list[dict]:
     docs = []
     for chi in result.sorted_members():
-        entry = {"coords": _coords_doc(chi.algebraic), "smooth_tag": chi.smooth_tag}
+        entry = {"coords": _coords_doc(chi.algebraic, formatted), "smooth_tag": chi.smooth_tag}
         if with_witness:
-            entry["witness"] = _witness_doc(result.witness[chi])
+            entry["witness"] = _witness_doc(result.witness[chi], formatted)
         docs.append(entry)
     return docs
 
@@ -280,11 +292,16 @@ def run(job: dict) -> tuple[int, dict]:
     """Execute a job in normal form (as ``jobspec_from_dict`` returns it);
     returns (exit code, output document), which echoes ``job`` as given
     under "job".  ``job`` is not changed.  The orbit guard is read from the
-    environment before anything is built."""
+    environment before anything is built.
+
+    Each distinct row's coordinate list is built once per call, and the
+    document's entries (members, witness steps, orbit entries) share it,
+    so the document is read-only: render it, do not edit it in place."""
     guard = _orbit_guard()
     ctx, chi, parabolic = _normalize_job(job)
     command = job["command"]
     convention = job["convention"]
+    formatted: dict = {}  # the rows formatted so far in this call; see _coords_doc
 
     oracle_doc: dict = {"checked": False, "agrees": None, "count": None}
     result_doc: dict
@@ -294,7 +311,10 @@ def run(job: dict) -> tuple[int, dict]:
             result = verma_factor_candidates(chi, parabolic, convention, guard=guard)
         else:  # linkset, or factors: at the Borel the factors are the closure
             result = strongly_linked_set(chi, convention, guard=guard)
-        result_doc = {"members": _members_doc(result, job["witness"]), "count": len(result)}
+        result_doc = {
+            "members": _members_doc(result, job["witness"], formatted),
+            "count": len(result),
+        }
         if command == "candidates":
             result_doc["upper_bound"] = result.upper_bound
         base_members = result.members
@@ -305,7 +325,7 @@ def run(job: dict) -> tuple[int, dict]:
         result_doc = {
             "obstructions": [
                 {
-                    "coords": _coords_doc(m.algebraic),
+                    "coords": _coords_doc(m.algebraic, formatted),
                     "smooth_tag": m.smooth_tag,
                     "central_key": key,
                 }
@@ -338,7 +358,7 @@ def run(job: dict) -> tuple[int, dict]:
     else:  # orbit
         orbit = sorted(dot_orbit(chi.algebraic, guard=guard), key=weight_sort_key)
         result_doc = {
-            "members": [{"coords": _coords_doc(w)} for w in orbit],
+            "members": [{"coords": _coords_doc(w, formatted)} for w in orbit],
             "count": len(orbit),
         }
 

@@ -24,7 +24,8 @@ from . import _kernel
 from .errors import OrbitGuardExceeded
 from .parabolic import (
     ParabolicSubset,
-    central_class_key,
+    _central_block,
+    _join_central_key,
     require_parabolic_dominant,
     row_in_lambda_p_plus,
 )
@@ -293,10 +294,24 @@ def noncritical_obstruction_set(
 
     An empty list means the pair is unconditionally non-critical; a
     non-empty list enumerates exactly the central characters whose
-    eigenspaces must vanish.  Sorted by central key, then coordinates."""
+    eigenspaces must vanish.  Sorted by central key, then coordinates.
+
+    A key's block for one embedding depends on that embedding's row
+    alone, so each distinct row's block is built once per call and the
+    blocks are joined per member; every key is byte-equal to
+    ``central_class_key(m, p, pi_tag)``."""
     candidates = verma_factor_candidates(chi_highest, p, convention, guard=guard)
+    # id(row) -> (row, its block); holding the row keeps its id unused
+    blocks: dict[int, tuple[tuple, str]] = {}
+
+    def block(row: tuple) -> str:
+        hit = blocks.get(id(row))
+        if hit is None:
+            hit = blocks[id(row)] = (row, _central_block(row, p))
+        return hit[1]
+
     out = [
-        (m, central_class_key(m, p, pi_tag))
+        (m, _join_central_key(m.smooth_tag, pi_tag, [block(row) for row in m.algebraic.components]))
         for m in candidates.members
         if m != chi_highest
     ]

@@ -10,10 +10,10 @@ representative both come from one reduced row echelon form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from .errors import IndexOutOfRange, NotParabolicDominant
@@ -119,20 +119,32 @@ def equal_on_center(lam: WeightL, mu: WeightL, p: ParabolicSubset) -> bool:
 
 def central_class_key(chi: LocAnChar, p: ParabolicSubset, pi_tag: str) -> str:
     """Canonical serializable key for the central character class of
-    chi times the smooth representation tagged pi_tag.
+    chi times the smooth representation tagged pi_tag: the bytes of
+    ``json.dumps(["ck1", tag, pi_tag, blocks], separators=(",", ":"),
+    sort_keys=True)``, with one block per embedding (see
+    :func:`_central_block`).
 
     Two characters get equal keys exactly when equal_on_center holds for
     their algebraic parts and their smooth tags agree."""
     require_same_context(chi.algebraic.context, p.context)
-    ctx = chi.algebraic.context
-    blocks = []
-    for sigma in range(ctx.num_embeddings):
-        reduced = p.reduce_mod_levi(chi.algebraic.semisimple(sigma))
-        coords = list(reduced) + list(chi.algebraic.central(sigma))
-        blocks.append([format_rational(x) for x in coords])
-    return json.dumps(
-        ["ck1", chi.smooth_tag, pi_tag, blocks], separators=(",", ":"), sort_keys=True
-    )
+    blocks = [_central_block(row, p) for row in chi.algebraic.components]
+    return _join_central_key(chi.smooth_tag, pi_tag, blocks)
+
+
+def _central_block(row: tuple[Fraction, ...], p: ParabolicSubset) -> str:
+    """One embedding's block of a central class key, as JSON text: the
+    semisimple part reduced modulo the Levi's roots, then the central
+    block, as "p/q" strings.  It depends on the row alone, so a caller
+    keying many members may build it once per distinct row."""
+    rank = p.context.rank
+    coords = (*p.reduce_mod_levi(row[:rank]), *row[rank:])
+    # "p/q" strings hold only digits, "-" and "/": none needs escaping
+    return '["' + '","'.join([format_rational(x) for x in coords]) + '"]'
+
+
+def _join_central_key(tag: str, pi_tag: str, blocks: list[str]) -> str:
+    """The central class key with the given per-embedding blocks."""
+    return f'["ck1",{_quote(tag)},{_quote(pi_tag)},[{",".join(blocks)}]]'
 
 
 def require_parabolic_dominant(chi: LocAnChar, p: ParabolicSubset) -> None:

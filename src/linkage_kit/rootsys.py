@@ -53,7 +53,11 @@ def _parse_name(name: str) -> list[tuple[str, int]]:
         m = _NAMED_TYPE.match(part.strip())
         if m is None:
             raise InvalidCartan(f"unrecognized type name {part!r}")
-        letter, n = m.group(1), int(m.group(2))
+        letter = m.group(1)
+        try:
+            n = int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise InvalidCartan(f"rank out of range for type {letter}") from None
         if n < _MIN_RANK[letter] or n > _MAX_RANK.get(letter, n):
             raise InvalidCartan(f"rank {n} out of range for type {letter}")
         factors.append((letter, n))

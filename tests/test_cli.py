@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import linkage_kit as lk
 import linkage_kit.cli as cli
 from linkage_kit.cli import ValidationError, jobspec_from_dict, render_json, run
+from linkage_kit.rationals import format_rational
+from util import char, context
 
 
 def make_job(**overrides):
@@ -602,6 +605,28 @@ def test_malformed_job_fails_before_any_root_is_generated(
     assert (error["field"], error["message"]) == (field, message)
 
 
+def test_rank_past_the_int_parsing_limit_is_a_root_system_error(monkeypatch, capsys):
+    import linkage_kit.rootsys as rootsys
+
+    def no_roots(*args):
+        raise AssertionError("a root system was built")
+
+    monkeypatch.setattr(rootsys, "_root_system", no_roots)
+    name = "A_" + "1" * 4400  # more digits than int() converts
+    with pytest.raises(lk.InvalidCartan, match="rank out of range for type A"):
+        rootsys.build_root_system(name)
+    argv = ["--root-system", name, "--weight", "0", "--command", "linkset"]
+    error = _validation_error(argv, capsys)
+    assert (error["field"], error["message"]) == ("root_system", "rank out of range for type A")
+    # each factor's rank converts, but their sum has 4301 digits
+    argv[1] = "A_" + "9" * 4300 + "xA_1"
+    error = _validation_error(argv, capsys)
+    assert error["field"] == "character.coords[0]"
+    assert error["message"] == (
+        f"expected 1{'0' * 4300} coordinates (rank 1{'0' * 4300} + central 0), got 1"
+    )
+
+
 def test_output_numbers_past_the_int_str_limit_print_exactly(capsys):
     # the parser takes 4300 digits, and one dot reflection adds a digit
     nines = "9" * 4300
@@ -698,6 +723,40 @@ def test_render_json_is_json_dumps_on_every_run_document(monkeypatch):
     assert any(d.get("oracle", {}).get("checked") for d in docs)
     for doc in docs:
         assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_run_keeps_no_state_between_calls(capsys):
+    # A: a witnessed closure over two embeddings; B, run in between, has rows
+    # of A's length and values of its own
+    job_a = ["--root-system", "A_2", "--embeddings", "2", "--weight", "1,0;0,0",
+             "--command", "linkset", "--witness"]
+    job_b = ["--root-system", "A_2", "--embeddings", "2", "--weight", "2,1;1,0",
+             "--command", "linkset", "--witness"]
+    outputs = []
+    for argv in (job_a, job_b, job_a):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[2]
+    members = json.loads(outputs[0])["result"]["members"]
+    assert any(len({step["root"]["sigma"] for step in m["witness"]}) == 2 for m in members)
+
+    # B's members and chains, formatted here from the library's closure
+    def coords(chi):
+        return [[format_rational(x) for x in row] for row in chi.algebraic.components]
+
+    result = lk.strongly_linked_set(char(context("A_2", 2), [(2, 1), (1, 0)], "triv"), "paper")
+    expected = [
+        {
+            "coords": coords(m),
+            "smooth_tag": "triv",
+            "witness": [
+                {"root": {"sigma": r.sigma, "root_index": r.root_index}, "to": coords(step)}
+                for r, step in result.witness[m].steps
+            ],
+        }
+        for m in result.sorted_members()
+    ]
+    assert json.loads(outputs[1])["result"]["members"] == expected
 
 
 def test_parser_is_reused_without_state(capsys):

@@ -1,9 +1,12 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import linkage_kit as lk
+from linkage_kit.rationals import format_rational
 from util import char, context, random_weight, weight
 
 
@@ -174,3 +177,55 @@ def test_central_class_key_is_serializable():
     key = lk.central_class_key(chi, p, 'pi"quote')
     assert isinstance(key, str)
     json.loads(key)  # canonical keys are themselves valid JSON
+
+
+def _reference_key(chi, p, pi_tag):
+    """central_class_key's definition, written out: json.dumps of the head
+    and one reduced block per embedding."""
+    rank = p.context.rank
+    blocks = [
+        [format_rational(x) for x in (*p.reduce_mod_levi(row[:rank]), *row[rank:])]
+        for row in chi.algebraic.components
+    ]
+    return json.dumps(
+        ["ck1", chi.smooth_tag, pi_tag, blocks], separators=(",", ":"), sort_keys=True
+    )
+
+
+# (type, embeddings, central, rows per embedding); coordinate 0 is a
+# non-negative integer, so every character is dominant for the parabolic {1}
+_KEY_GRID = [
+    ("B_2", 2, 1, [(0, 0, 0), (1, 2, Fraction(1, 2)), (0, 1, -3)]),
+    ("A_2", 2, 0, [(0, 0), (0, 1), (2, Fraction(-1, 3))]),
+    ("A_3", 1, 2, [(0, 0, 0, 1, 0), (1, 0, 2, Fraction(2, 5), -1), (0, 2, 1, 0, 0)]),
+    ("G_2", 2, 1, [(0, 0, Fraction(-1, 2)), (1, 1, 0), (0, Fraction(1, 2), 7)]),
+    ("C_3", 1, 0, [(0, 0, 0), (1, 1, 0), (2, 0, Fraction(3, 2))]),
+]
+
+
+@pytest.mark.parametrize("convention", ["paper", "shifted"])
+@pytest.mark.parametrize("name,embeddings,central,rows", _KEY_GRID, ids=[g[0] for g in _KEY_GRID])
+def test_obstruction_keys_are_the_reference_bytes(name, embeddings, central, rows, convention):
+    ctx = context(name, embeddings=embeddings, central=central)
+    p = lk.ParabolicSubset(ctx, frozenset({0}))
+    seen = 0
+    for combo in itertools.product(rows, repeat=embeddings):
+        chi = char(ctx, list(combo), tag="t")
+        out = lk.noncritical_obstruction_set(chi, p, "pi", convention)
+        for m, key in out:
+            assert key == _reference_key(m, p, "pi") == lk.central_class_key(m, p, "pi")
+        seen += len(out)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("tag", ['q"\\', "θ", "é 漢"])
+def test_keys_escape_tags_as_json_does(tag):
+    ctx = context("B_2", embeddings=2, central=1)
+    p = lk.ParabolicSubset(ctx, frozenset({0}))
+    chi = char(ctx, [(1, 2, Fraction(1, 2)), (0, 1, -3)], tag=tag)
+    assert lk.central_class_key(chi, p, tag) == _reference_key(chi, p, tag)
+    out = lk.noncritical_obstruction_set(chi, p, tag, "paper")
+    assert out
+    for m, key in out:
+        assert m.smooth_tag == tag
+        assert key == _reference_key(m, p, tag)

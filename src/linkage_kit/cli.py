@@ -335,7 +335,6 @@ def run(job: dict) -> tuple[int, dict]:
             "unconditionally_noncritical": not obstructions,
             "upper_bound": bool(parabolic.indices),
         }
-        base_members = frozenset(m for m, _ in obstructions)
     elif command == "dominance":
         roots_doc = []
         for r in ctx.global_roots():
@@ -363,7 +362,7 @@ def run(job: dict) -> tuple[int, dict]:
         }
 
     exit_code = EXIT_OK
-    if job["oracle"]:  # set only on the closure commands, which set base_members
+    if job["oracle"]:  # set only on the closure commands
         oracle_set = stabilized_chain_set(chi, convention)
         if command in ("candidates", "obstructions"):
             oracle_set = frozenset(
@@ -371,6 +370,7 @@ def run(job: dict) -> tuple[int, dict]:
             )
         if command == "obstructions":
             oracle_set = frozenset(m for m in oracle_set if m != chi)
+            base_members = frozenset(m for m, _ in obstructions)
         agrees = oracle_set == base_members
         oracle_doc = {"checked": True, "agrees": agrees, "count": len(oracle_set)}
         if not agrees:

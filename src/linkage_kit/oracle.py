@@ -15,20 +15,19 @@ unshifted block along the root, while the kernel reads pairings and
 children off signed permutations of the coroots.
 
 verify_closure (closures and candidate sets) and verify_orbit (dot
-orbits) certify a result through the Fraction-level primitives only, never
-through the search kernel.  They rest on the theorem in linkage's
-docstring: a reflection at (sigma, r) reads and writes only component
-sigma.  So each embedding's factor is found by closing the origin's
-sigma-row under the sigma-links with the other components held at the
-origin's, recording each link; a result must be exactly the product of
-its (filtered) factors, and every witness chain must walk recorded links
-from the origin to its member.  Rows are looked up by weights_chars.row_key,
-which hashes ints rather than Fractions.
+orbits) certify a result without the search kernel: they close each
+factor on the oracle's integer step.  They rest on the theorem in
+linkage's docstring: a reflection at (sigma, r) reads and writes only
+component sigma.  So each embedding's factor is found by closing the
+origin's sigma-row under the sigma-links with the other components held
+at the origin's, recording each link; a result must be exactly the
+product of its (filtered) factors, and every witness chain must walk
+recorded links from the origin to its member.  Rows are looked up by
+weights_chars.row_key, which hashes ints rather than Fractions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
 from functools import partial
 from math import prod
 
@@ -36,40 +35,39 @@ from .linkage import LinkageChain, LinkageResult
 from .parabolic import row_in_lambda_p_plus
 from .weights_chars import (
     EmbeddingContext,
-    GlobalRoot,
     LocAnChar,
     WeightL,
     _weight_unchecked,
     check_convention,
     decode_block,
-    dot_reflect,
     encode_row,
-    is_alpha_dominant,
     row_key,
 )
 
 
-def _gated_children(rs, dens, shifted, state):
-    """Yield (global root index, child state) for every dominance-gated dot
+def _gated_children(rs, dens, convention, state):
+    """Yield (global root index, child state) for every gated dot
     reflection that moves the state, a tuple of scaled-integer blocks of
     root system rs, one per denominator in dens; the index of root r in
-    embedding sigma is sigma * nroots + r."""
+    embedding sigma is sigma * nroots + r.  The gates are the linkage
+    gates of convention "paper" or "shifted", or for None the orbit gates:
+    every simple root (positive roots 0 .. rank-1), with no integrality
+    test."""
     coroots, fund, heights = rs.coroot_coeffs, rs.root_fund, rs.coroot_heights
     nroots = len(heights)
+    roots = range(rs.rank if convention is None else nroots)
+    shifted = convention == "shifted"
     for sigma, (d, block) in enumerate(zip(dens, state)):
-        for r in range(nroots):
+        for r in roots:
             num = sum(k * x for k, x in zip(coroots[r], block))
-            if num % d:
-                continue  # pairing not an integer
-            if shifted:
-                if num + d * heights[r] <= 0:
+            step = num + d * heights[r]  # d times the rho-shifted pairing
+            if convention is not None:
+                if num % d:
+                    continue  # pairing not an integer
+                if step <= 0 if shifted else num < 0:
                     continue
-            elif num < 0:
+            if step == 0:
                 continue
-            coeff = num // d + heights[r]
-            if coeff == 0:
-                continue
-            step = coeff * d
             child = list(state)
             child[sigma] = tuple([x - step * f for x, f in zip(block, fund[r])])
             yield sigma * nroots + r, tuple(child)
@@ -93,7 +91,7 @@ def stabilized_chain_set(chi: LocAnChar, convention: str) -> frozenset[LocAnChar
     ctx = lam.context
     dens, start = zip(*(encode_row(lam.semisimple(s)) for s in range(ctx.num_embeddings)))
     centrals = [lam.central(s) for s in range(ctx.num_embeddings)]
-    step = partial(_gated_children, ctx.base, dens, convention == "shifted")
+    step = partial(_gated_children, ctx.base, dens, convention)
     level = {start}
     endpoints = set(level)
     while True:
@@ -109,53 +107,27 @@ def stabilized_chain_set(chi: LocAnChar, convention: str) -> frozenset[LocAnChar
     return frozenset(map(decode, endpoints))
 
 
-# moves(weight, sigma) yields (root index, moved weight) for every link out
-# of the weight that moves its sigma-row
-_Moves = Callable[[WeightL, int], Iterator[tuple[int, WeightL]]]
-
-
-def _gated_moves(tag: str, convention: str, lam: WeightL, sigma: int):
-    """The linkage links: every dominance-gated dot reflection at a root of
-    embedding sigma that moves the weight."""
-    chi = LocAnChar(lam, tag)
-    row = lam.components[sigma]
-    for r in range(lam.context.base.num_positive):
-        root = GlobalRoot(sigma, r)
-        if is_alpha_dominant(chi, root, convention):
-            moved = dot_reflect(lam, root)
-            if moved.components[sigma] != row:
-                yield r, moved
-
-
-def _simple_moves(lam: WeightL, sigma: int):
-    """The orbit links: every simple dot reflection of embedding sigma that
-    moves the weight (the simple roots are positive roots 0 .. rank-1)."""
-    row = lam.components[sigma]
-    for i in range(lam.context.rank):
-        moved = dot_reflect(lam, GlobalRoot(sigma, i))
-        if moved.components[sigma] != row:
-            yield i, moved
-
-
-def _factor(lam: WeightL, sigma: int, moves: _Moves):
-    """Closure of lam's sigma-row under ``moves``, the other rows held at
-    lam's: the rows in discovery order (lam's first), each row's key to its
-    number, and the recorded links (row number, root index) -> row number."""
-    rows = [lam.components[sigma]]
-    numbers = {row_key(rows[0]): 0}
+def _factor(lam: WeightL, sigma: int, convention: str | None):
+    """Closure of lam's sigma-row under the gated reflections of embedding
+    sigma (_gated_children's gates for ``convention``), the other rows held
+    at lam's: the rows in discovery order (lam's first), each row's key to
+    its number, and the recorded links (row number, root index) -> row
+    number."""
+    d, block = encode_row(lam.semisimple(sigma))
+    step = partial(_gated_children, lam.context.base, (d,), convention)
+    index = {(block,): 0}
+    states = [(block,)]
     links: dict[tuple[int, int], int] = {}
-    weights = [lam]
-    for n, weight in enumerate(weights):  # grows while it is walked
-        for r, moved in moves(weight, sigma):
-            row = moved.components[sigma]
-            key = row_key(row)
-            m = numbers.get(key)
+    for n, state in enumerate(states):  # grows while it is walked
+        for r, child in step(state):
+            m = index.get(child)
             if m is None:
-                m = numbers[key] = len(rows)
-                rows.append(row)
-                weights.append(moved)
+                m = index[child] = len(states)
+                states.append(child)
             links[n, r] = m
-    return rows, numbers, links
+    central = lam.central(sigma)
+    rows = [decode_block(d, nums) + central for (nums,) in states]
+    return rows, {row_key(row): n for n, row in enumerate(rows)}, links
 
 
 def _row_numbers(lam: WeightL, ctx: EmbeddingContext, numbers: list[dict]) -> list[int] | None:
@@ -202,28 +174,28 @@ def _replay(chain: LinkageChain, origin: LocAnChar, factors: list) -> list[int] 
 
 
 def verify_closure(result: LinkageResult) -> bool:
-    """Whether ``result`` is exactly what it claims, checked through the
-    Fraction-level primitives only: a strong-linkage closure
-    (``strongly_linked_set``) or, for a non-empty ``result.parabolic``,
-    the closure's members whose every row passes ``row_in_lambda_p_plus``
-    (``verma_factor_candidates``).
+    """Whether ``result`` is exactly what it claims, checked without the
+    search kernel: a strong-linkage closure (``strongly_linked_set``) or,
+    for a non-empty ``result.parabolic``, the closure's members whose
+    every row passes ``row_in_lambda_p_plus`` (``verma_factor_candidates``).
 
     For each embedding sigma the origin's sigma-row is closed under the
-    gated moving reflections at the roots of sigma, the other components
-    held at the origin's, and each link is recorded.  Three checks follow:
-    every member has the origin's tag and its rows in the filtered
-    factors; the member count is the product of the filtered factor
-    sizes, so the members are exactly that product; and every member's
-    witness chain starts at the origin, steps only along recorded links
-    and ends at the member.  A malformed result (a missing chain, a root
-    or a parabolic index outside the context) gives False, not an error."""
+    gated moving reflections at the roots of sigma, on the oracle's
+    integer step, the other components held at the origin's, and each
+    link is recorded.  Three checks follow: every member has the origin's
+    tag and its rows in the filtered factors; the member count is the
+    product of the filtered factor sizes, so the members are exactly that
+    product; and every member's witness chain starts at the origin, steps
+    only along recorded links and ends at the member.  A malformed result (a missing chain, a root
+    or a parabolic index outside the context) gives False, not an error;
+    a convention other than "paper" or "shifted" raises ValueError."""
+    check_convention(result.convention)
     origin, members, parabolic = result.origin, result.members, result.parabolic
     lam = origin.algebraic
     ctx = lam.context
     if origin not in members or not parabolic <= frozenset(range(ctx.rank)):
         return False
-    moves = partial(_gated_moves, origin.smooth_tag, result.convention)
-    factors = [_factor(lam, sigma, moves) for sigma in range(ctx.num_embeddings)]
+    factors = [_factor(lam, sigma, result.convention) for sigma in range(ctx.num_embeddings)]
     kept = [
         {key: n for key, n in numbers.items() if row_in_lambda_p_plus(rows[n], parabolic)}
         for rows, numbers, _ in factors
@@ -242,15 +214,16 @@ def verify_closure(result: LinkageResult) -> bool:
 
 def verify_orbit(lam: WeightL, orbit: frozenset[WeightL]) -> bool:
     """Whether ``orbit`` is exactly the dot orbit of lam (as ``dot_orbit``
-    returns it), checked through the Fraction-level dot reflection only.
+    returns it), checked without the search kernel.
 
     For each embedding sigma, lam's sigma-row is closed under the simple
     dot reflections of sigma that move it (which generate that
-    embedding's Weyl group), the other components held at lam's.  The
+    embedding's Weyl group), on the oracle's integer step, the other
+    components held at lam's.  The
     orbit must have exactly the product of the factor sizes as members,
     each with its rows in the factors."""
     ctx = lam.context
-    numbers = [_factor(lam, sigma, _simple_moves)[1] for sigma in range(ctx.num_embeddings)]
+    numbers = [_factor(lam, sigma, None)[1] for sigma in range(ctx.num_embeddings)]
     if len(orbit) != prod(map(len, numbers)):
         return False
     return all(_row_numbers(w, ctx, numbers) is not None for w in orbit)

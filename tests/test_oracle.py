@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import linkage_kit as lk
+from linkage_kit.oracle import _gated_children
+from linkage_kit.weights_chars import decode_block, encode_row
 from util import char, context, coords_set, integral_grid, weight
 
 
@@ -128,6 +130,68 @@ def test_verify_orbit_rejects_an_extra_weight():
     # a weight of another context
     foreign = weight(context("A_2xA_1"), [(0, 0, 0)])
     assert not lk.verify_orbit(lam, orbit - {lam} | {foreign})
+
+
+# coordinates integral, in 1/2 Z and in 1/3 Z; a row may mix them
+STEP_VALUES = sorted({Fraction(k, d) for k in range(-3, 3) for d in (1, 2, 3)})
+
+
+def step_grid(ctx):
+    """Weights of ctx over STEP_VALUES: every row for one embedding; for
+    two, each row paired with a fixed shuffle of the rows, central
+    coordinate s/3 in embedding s."""
+    rows = list(itertools.product(STEP_VALUES, repeat=ctx.rank))
+    if ctx.num_embeddings == 1:
+        pairs = [(row,) for row in rows]
+    else:
+        pairs = [(row, rows[(7 * n + 3) % len(rows)]) for n, row in enumerate(rows)]
+    central = [(Fraction(s, 3),) * ctx.central_dim for s in range(ctx.num_embeddings)]
+    return [weight(ctx, [row + c for row, c in zip(pair, central)]) for pair in pairs]
+
+
+def step_children(lam, convention):
+    """_gated_children's children of lam, decoded, with their root indices."""
+    ctx = lam.context
+    embeddings = range(ctx.num_embeddings)
+    dens, state = zip(*(encode_row(lam.semisimple(sigma)) for sigma in embeddings))
+    return sorted(
+        (index, tuple(decode_block(d, b) + lam.central(s) for s, d, b in zip(embeddings, dens, child)))
+        for index, child in _gated_children(ctx.base, dens, convention, state)
+    )
+
+
+@pytest.mark.parametrize("name", ["A_1", "A_2", "B_2", "G_2"])
+@pytest.mark.parametrize("embeddings,central", [(1, 0), (2, 1)])
+def test_the_shared_step_is_the_library_step(name, embeddings, central):
+    # the oracle and both certificates close on _gated_children: its links
+    # are up_link_candidates's under each convention, and the moving
+    # simple dot reflections under the orbit gates
+    ctx = context(name, embeddings=embeddings, central=central)
+    nroots = ctx.base.num_positive
+    linked = {"paper": set(), "shifted": set()}  # whether a weight had a link
+    for lam in step_grid(ctx):
+        chi = lk.LocAnChar(lam, "t")
+        for convention in ("paper", "shifted"):
+            expected = sorted(
+                (r.sigma * nroots + r.root_index, nxt.algebraic.components)
+                for r, nxt in lk.up_link_candidates(chi, convention)
+            )
+            assert step_children(lam, convention) == expected
+            linked[convention].add(bool(expected))
+        simple = (r for r in ctx.global_roots() if r.root_index < ctx.rank)
+        reflected = ((r, lk.dot_reflect(lam, r)) for r in simple)
+        expected = sorted(
+            (r.sigma * nroots + r.root_index, mu.components) for r, mu in reflected if mu != lam
+        )
+        assert step_children(lam, None) == expected
+    assert linked == {"paper": {False, True}, "shifted": {False, True}}  # open and shut gates
+
+
+def test_verify_closure_checks_the_convention():
+    result = lk.strongly_linked_set(char(context("A_2"), [(0, 0)]), "paper")
+    for convention in ("bogus", None, True):
+        with pytest.raises(ValueError):
+            lk.verify_closure(dataclasses.replace(result, convention=convention))
 
 
 def test_nonintegral_chain_is_singleton():

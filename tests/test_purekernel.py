@@ -31,7 +31,7 @@ def reference_bfs(rs, row, convention, guard):
     parent_state = [-1]
     parent_label = [-1]
     for head, state in enumerate(states):
-        for label, child in _gated_children(rs, (d,), convention == "shifted", state):
+        for label, child in _gated_children(rs, (d,), convention, state):
             if child not in index:
                 if len(index) >= guard:
                     raise lk.OrbitGuardExceeded(f"search exceeded the visited-state cap {guard}")

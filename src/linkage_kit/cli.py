@@ -9,7 +9,10 @@ again returns it unchanged.  Output is a deterministic JSON document on
 stdout, byte for byte
 ``json.dumps(document, indent=2, sort_keys=True)`` (canonical "p/q"
 rationals, no timestamps), errors are structured JSON on stderr in the
-same form.  Exit codes: 0 success, 2 validation error, 3 guard exhaustion,
+same form.  ``run`` builds each distinct row's coordinate list and each
+distinct witness step's document once per job and shares them across
+the document; ``render_json`` writes each shared row list once per depth.
+Exit codes: 0 success, 2 validation error, 3 guard exhaustion,
 4 oracle disagreement; an internal fault (an error no input can cause)
 ends the process with a traceback, status 1.
 """
@@ -244,9 +247,10 @@ def _normalize_job(job: dict):
 
 def _coords_doc(weight: WeightL, formatted: dict) -> list[list[str]]:
     """The weight's rows as lists of "p/q" strings.  ``formatted`` maps
-    id(row) to (row, its list) for the rows met so far in one ``run()``
-    call, so each distinct row is formatted once and its list shared;
-    holding the row keeps its id from being reused while the map lives."""
+    id(obj) to (obj, its document) for the rows and witness steps met so
+    far in one ``run()`` call, so each distinct row is formatted once and
+    its list shared; holding the object keeps its id from being reused
+    while the map lives."""
     out = []
     for row in weight.components:
         hit = formatted.get(id(row))
@@ -257,13 +261,21 @@ def _coords_doc(weight: WeightL, formatted: dict) -> list[list[str]]:
 
 
 def _witness_doc(chain, formatted: dict) -> list[dict]:
-    return [
-        {
-            "root": {"sigma": r.sigma, "root_index": r.root_index},
-            "to": _coords_doc(chi.algebraic, formatted),
-        }
-        for r, chi in chain.steps
-    ]
+    """The chain's steps as documents, one per distinct step object (chains
+    with a common prefix share their steps), shared through ``formatted``
+    as in ``_coords_doc``."""
+    out = []
+    for step in chain.steps:
+        hit = formatted.get(id(step))
+        if hit is None:
+            r, chi = step
+            doc = {
+                "root": {"sigma": r.sigma, "root_index": r.root_index},
+                "to": _coords_doc(chi.algebraic, formatted),
+            }
+            hit = formatted[id(step)] = (step, doc)
+        out.append(hit[1])
+    return out
 
 
 def _members_doc(result: LinkageResult, with_witness: bool, formatted: dict) -> list[dict]:
@@ -294,14 +306,15 @@ def run(job: dict) -> tuple[int, dict]:
     under "job".  ``job`` is not changed.  The orbit guard is read from the
     environment before anything is built.
 
-    Each distinct row's coordinate list is built once per call, and the
-    document's entries (members, witness steps, orbit entries) share it,
-    so the document is read-only: render it, do not edit it in place."""
+    Each distinct row's coordinate list and each distinct witness step's
+    document is built once per call, and the document's entries (members,
+    witness chains, orbit entries) share them, so the document is
+    read-only: render it, do not edit it in place."""
     guard = _orbit_guard()
     ctx, chi, parabolic = _normalize_job(job)
     command = job["command"]
     convention = job["convention"]
-    formatted: dict = {}  # the rows formatted so far in this call; see _coords_doc
+    formatted: dict = {}  # the rows and steps formatted so far in this call; see _coords_doc
 
     oracle_doc: dict = {"checked": False, "agrees": None, "count": None}
     result_doc: dict
@@ -389,16 +402,26 @@ def render_json(document: dict) -> str:
     """Exactly ``json.dumps(document, indent=2, sort_keys=True)``.
 
     ``indent`` sends ``json.dumps`` down its pure-Python encoder; this
-    writer emits the same bytes in fewer steps.  Keys must be strings.
+    writer emits the same bytes in fewer steps.  It dispatches on the
+    exact type first: a str is quoted by json's own C escaper, an int is
+    ``int.__repr__``, and ``None``, ``True`` and ``False`` are constants;
+    subclasses of str and int, and floats, go through ``json.dumps``.  A
+    list or tuple of strings is written with one join, and since ``run()``
+    shares each distinct row's list, such a list is rendered once per
+    depth per call: a per-call map keyed by its id and depth holds the
+    list and its text.  Keys must be strings.
     """
     parts: list[str] = []
-    _encode(document, "\n", parts.append)
+    _encode(document, "\n", parts.append, {})
     return "".join(parts)
 
 
-def _encode(value, newline: str, emit) -> None:
-    if isinstance(value, str):
+def _encode(value, newline: str, emit, strings: dict) -> None:
+    kind = type(value)
+    if kind is str:
         emit(_quote(value))
+    elif kind is int:
+        emit(int.__repr__(value))
     elif isinstance(value, dict):
         if not value:
             emit("{}")
@@ -407,21 +430,40 @@ def _encode(value, newline: str, emit) -> None:
         sep = "{" + inner
         for key in sorted(value):
             emit(sep + _quote(key) + ": ")
-            _encode(value[key], inner, emit)
+            _encode(value[key], inner, emit, strings)
             sep = "," + inner
         emit(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             emit("[]")
             return
+        hit = strings.get((id(value), newline))
+        if hit is not None:
+            emit(hit[1])
+            return
         inner = newline + "  "
+        if type(value[0]) is str:
+            try:
+                text = "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+            except TypeError:  # not every item is a string
+                pass
+            else:
+                strings[id(value), newline] = (value, text)  # holding the list keeps its id unused
+                emit(text)
+                return
         sep = "[" + inner
         for item in value:
             emit(sep)
-            _encode(item, inner, emit)
+            _encode(item, inner, emit, strings)
             sep = "," + inner
         emit(newline + "]")
-    else:  # numbers, booleans and None; anything else raises TypeError
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    else:  # subclasses of str and int, floats; anything else raises TypeError
         emit(json.dumps(value))
 
 

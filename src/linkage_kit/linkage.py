@@ -111,7 +111,13 @@ class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
     chain, built on lookup from the per-embedding BFS trees.
 
     A chain walks embedding 0 down its tree with the other embeddings at
-    their origin values, then embedding 1, and so on.  Looking up a
+    their origin values, then embedding 1, and so on.  Each step ends at a
+    product state, one row number per embedding in the full closures
+    (rows a parabolic filter dropped included), and the map keeps the
+    ``(GlobalRoot, LocAnChar)`` step it builds for each state, keyed by the
+    state's mixed-radix number.  So chains with a common prefix share
+    their step objects, and the map holds at most one step per product
+    state walked, for as long as the result holds the map.  Looking up a
     character outside ``members`` raises KeyError."""
 
     def __init__(
@@ -124,6 +130,7 @@ class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
         self._members = members
         self._closures = closures
         self._index: list[dict[tuple, int]] | None = None
+        self._steps: dict[int, tuple[GlobalRoot, LocAnChar]] = {}
 
     def __len__(self) -> int:
         return len(self._members)
@@ -143,18 +150,29 @@ class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
             ]
         origin = self._origin
         ctx = origin.algebraic.context
+        memo = self._steps
         current = list(origin.algebraic.components)
         steps = []
+        base, stride = 0, 1  # the state walked so far; the place value of embedding sigma
         for sigma, (rows, parent_state, parent_root) in enumerate(self._closures):
+            target = self._index[sigma][row_key(chi.algebraic.components[sigma])]
             path = []
-            k = self._index[sigma][row_key(chi.algebraic.components[sigma])]
+            k = target
             while k:
                 path.append(k)
                 k = parent_state[k]
             for k in reversed(path):
                 current[sigma] = rows[k]
-                step = LocAnChar(_weight_unchecked(ctx, tuple(current)), origin.smooth_tag)
-                steps.append((GlobalRoot(sigma, parent_root[k]), step))
+                state = base + k * stride
+                step = memo.get(state)
+                if step is None:
+                    step = memo[state] = (
+                        GlobalRoot(sigma, parent_root[k]),
+                        LocAnChar(_weight_unchecked(ctx, tuple(current)), origin.smooth_tag),
+                    )
+                steps.append(step)
+            base += target * stride
+            stride *= len(rows)
         return LinkageChain(tuple(steps))
 
 

@@ -667,6 +667,42 @@ def test_render_json_is_json_dumps_on_a_hand_built_document():
         assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+def test_render_json_renders_a_shared_list_at_each_depth():
+    import enum
+    from collections import OrderedDict
+
+    class Tag(str):
+        pass
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    row = ["1/2", "-3/1", 'q"\\', "θ"]
+    doc = {
+        "a": row,
+        "b": [row, row, (row, [row])],  # row twice at one depth, and deeper
+        "c": {"row": row, "ints": [0, -1, 2**70, -(2**70)], "flags": [True, False, None]},
+        "d": ("x", ("y", ("z",)), 1, True, None),  # nested tuples, a str first
+        "e": ["s", 5, "t"],  # a str first, not every item a string
+        "f": [Tag("sub"), "str"],
+        "g": [Level.HIGH, 2.5, OrderedDict([("z", 1), ("a", row)])],
+        "h": [["copy", "of"], ["copy", "of"]],  # equal lists, distinct objects
+        "i": row,
+    }
+    expected = json.dumps(doc, indent=2, sort_keys=True)
+    assert render_json(doc) == expected
+    assert render_json(doc) == expected  # nothing carries over between calls
+    assert render_json([row, {"deep": [[row]]}, row]) == json.dumps(
+        [row, {"deep": [[row]]}, row], indent=2, sort_keys=True
+    )
+    # an int past the int-to-str digit limit fails as json.dumps fails
+    for value in ([10**4300], ["a", 10**4300]):
+        with pytest.raises(ValueError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(ValueError):
+            render_json(value)
+
+
 def test_render_json_refuses_what_json_dumps_refuses():
     for doc in ({"x": Fraction(1, 2)}, [Fraction(1)]):
         with pytest.raises(TypeError):

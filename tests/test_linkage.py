@@ -377,6 +377,42 @@ def test_candidate_witnesses_are_the_kept_members(name, s, central, rows, index,
             cands.witness[member]
 
 
+def test_witness_steps_are_shared_and_independent_of_lookup_order():
+    ctx = context("A_2", embeddings=2)
+    chi = char(ctx, [(1, 1), (2, 1)])
+    p = lk.ParabolicSubset(ctx, frozenset({0}))
+    for build in (
+        lambda: lk.strongly_linked_set(chi, "paper"),
+        lambda: lk.verma_factor_candidates(chi, p, "paper"),
+    ):
+        forward, backward = build(), build()
+        members = forward.sorted_members()
+        chains = {m: forward.witness[m] for m in members}
+        assert {m: backward.witness[m] for m in reversed(members)} == chains
+        assert lk.verify_closure(forward) and lk.verify_closure(backward)
+        # equal steps end at the same product state, so they are one object
+        steps = [step for chain in chains.values() for step in chain.steps]
+        assert len({id(step) for step in steps}) == len(set(steps))
+        again = forward.witness[members[-1]].steps
+        assert all(a is b for a, b in zip(again, chains[members[-1]].steps, strict=True))
+
+    # the candidates' chains pass through rows the filter dropped
+    assert len(forward) == 9
+    assert any(step not in forward.members for _, step in steps)
+
+    # in a full closure every step ends at a member, whose own chain is the
+    # prefix up to that step, object for object; one step per state walked
+    full = lk.strongly_linked_set(chi, "paper")
+    assert len(full) == 36
+    for m in full.sorted_members():
+        chain = full.witness[m].steps
+        for n, (_, step) in enumerate(chain):
+            prefix = full.witness[step].steps
+            assert len(prefix) == n + 1
+            assert all(a is b for a, b in zip(prefix, chain))
+    assert len(full.witness._steps) == len(full) - 1
+
+
 def test_guard_across_embeddings():
     ctx = context("A_1", embeddings=3)
     chi = char(ctx, [(0,), (0,), (0,)])
@@ -398,24 +434,27 @@ import linkage_kit as lk
 ctx = lk.EmbeddingContext(lk.build_root_system("B_2"), 2, 1)
 chi = lk.LocAnChar(lk.WeightL(ctx, ((0, 0, -1), (0, 0, 2))), "t")
 result = lk.strongly_linked_set(chi, "paper")
+walked = lk.strongly_linked_set(chi, "paper")
+for m in walked.members:  # fills the chains' step memo before pickling
+    walked.witness[m]
 with open(sys.argv[1], "wb") as f:
-    pickle.dump((result, lk.dot_orbit(chi.algebraic)), f)
+    pickle.dump((result, walked, lk.dot_orbit(chi.algebraic)), f)
 """
 
 _PICKLE_READ = """
 import pickle, sys
 import linkage_kit as lk
 with open(sys.argv[1], "rb") as f:
-    result, orbit = pickle.load(f)
+    result, walked, orbit = pickle.load(f)
 ctx = lk.EmbeddingContext(lk.build_root_system("B_2"), 2, 1)
 origin = lk.LocAnChar(lk.WeightL(ctx, ((0, 0, -1), (0, 0, 2))), "t")
 fresh = lk.strongly_linked_set(origin, "paper")
 assert len(fresh) > 1
-assert result.members == fresh.members
+assert result.members == walked.members == fresh.members
 assert orbit == lk.dot_orbit(origin.algebraic)
 for chi in fresh.members:
-    assert chi in result.members and chi.algebraic in orbit
-    assert result.witness[chi] == fresh.witness[chi]
+    assert chi in result.members and chi in walked.members and chi.algebraic in orbit
+    assert result.witness[chi] == walked.witness[chi] == fresh.witness[chi]
 print("ok")
 """
 

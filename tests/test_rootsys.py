@@ -56,6 +56,33 @@ def test_product_counts_are_sums(name, count):
     assert root_system(name).num_positive == count
 
 
+# Highest roots over the simple roots, written out from the Bourbaki tables,
+# whose labeling rootsys uses: B_n's last simple root short, C_n's long, D_n's
+# last two the fork, alpha_2 on alpha_4 in E_n, alpha_3 and alpha_4 short in
+# F_4, alpha_1 short in G_2.
+HIGHEST_ROOTS = (
+    [(f"A_{n}", (1,) * n) for n in range(1, 9)]
+    + [(f"B_{n}", (1,) + (2,) * (n - 1)) for n in range(2, 9)]
+    + [(f"C_{n}", (2,) * (n - 1) + (1,)) for n in range(3, 9)]
+    + [(f"D_{n}", (1,) + (2,) * (n - 3) + (1, 1)) for n in range(4, 9)]
+    + [
+        ("E_6", (1, 2, 2, 3, 2, 1)),
+        ("E_7", (2, 2, 3, 4, 3, 2, 1)),
+        ("E_8", (2, 3, 4, 6, 5, 4, 3, 2)),
+        ("F_4", (2, 3, 4, 2)),
+        ("G_2", (3, 2)),
+    ]
+)
+
+
+@pytest.mark.parametrize("name,highest", HIGHEST_ROOTS)
+def test_highest_root(name, highest):
+    roots = root_system(name).positive_roots
+    top = max(map(sum, roots))
+    assert [c for c in roots if sum(c) == top] == [highest]
+    assert roots[-1] == highest  # the roots are ordered by height
+
+
 def test_simple_roots_are_basis_vectors():
     for name in ("A_3", "B_3", "G_2", "A_2xA_1"):
         rs = root_system(name)

@@ -382,7 +382,7 @@ def run(job: dict) -> tuple[int, dict]:
                 m for m in oracle_set if in_lambda_p_plus(m.algebraic, parabolic)
             )
         if command == "obstructions":
-            oracle_set = frozenset(m for m in oracle_set if m != chi)
+            oracle_set -= {chi}
             base_members = frozenset(m for m, _ in obstructions)
         agrees = oracle_set == base_members
         oracle_doc = {"checked": True, "agrees": agrees, "count": len(oracle_set)}

@@ -17,7 +17,7 @@ the orbit gates the same per-embedding search gives the dot orbit.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from . import _kernel
@@ -229,19 +229,19 @@ def dot_orbit(lam: WeightL, *, guard: int = DEFAULT_ORBIT_GUARD) -> frozenset[We
 
 
 def _product_closure(
-    chi: LocAnChar,
-    convention: str,
-    guard: int,
-    keep_row: Callable[[tuple], bool] | None = None,
+    chi: LocAnChar, convention: str, guard: int, indices: frozenset[int] = frozenset()
 ) -> tuple[frozenset[LocAnChar], _WitnessChains]:
     """Members and witnesses of the closure of chi, as the product over
-    embeddings of the per-embedding closures' rows that pass ``keep_row``
-    (all of them by default; it must accept the origin's rows).  Guarded as
-    in _embedding_closures."""
+    embeddings of the per-embedding closures' rows that pass
+    row_in_lambda_p_plus for the parabolic ``indices`` (every row when
+    empty; chi itself must pass).  Guarded as in _embedding_closures."""
     check_convention(convention)
     ctx = chi.algebraic.context
     closures = _embedding_closures(chi.algebraic, convention, guard)
-    kept = [rows if keep_row is None else list(filter(keep_row, rows)) for rows, _, _ in closures]
+    kept = [
+        [row for row in rows if row_in_lambda_p_plus(row, indices)] if indices else rows
+        for rows, _, _ in closures
+    ]
     combos = itertools.product(*kept)
     next(combos)  # the origin's rows: keep the caller's object instead
     tag = chi.smooth_tag
@@ -285,15 +285,13 @@ def verma_factor_candidates(
     upper bound on the true factor set, flagged via ``upper_bound``; the
     result's ``parabolic`` holds the filter's indices."""
     require_parabolic_dominant(chi_highest, p)
-    indices = p.indices
-    keep_row = (lambda row: row_in_lambda_p_plus(row, indices)) if indices else None
-    members, witness = _product_closure(chi_highest, convention, guard, keep_row)
+    members, witness = _product_closure(chi_highest, convention, guard, p.indices)
     return LinkageResult(
         origin=chi_highest,
         members=members,
         witness=witness,
         convention=convention,
-        parabolic=indices,
+        parabolic=p.indices,
     )
 
 
@@ -314,24 +312,25 @@ def noncritical_obstruction_set(
     non-empty list enumerates exactly the central characters whose
     eigenspaces must vanish.  Sorted by central key, then coordinates.
 
-    A key's block for one embedding depends on that embedding's row
-    alone, so each distinct row's block is built once per call and the
-    blocks are joined per member; every key is byte-equal to
-    ``central_class_key(m, p, pi_tag)``."""
-    candidates = verma_factor_candidates(chi_highest, p, convention, guard=guard)
-    # id(row) -> (row, its block); holding the row keeps its id unused
-    blocks: dict[int, tuple[tuple, str]] = {}
-
-    def block(row: tuple) -> str:
-        hit = blocks.get(id(row))
-        if hit is None:
-            hit = blocks[id(row)] = (row, _central_block(row, p))
-        return hit[1]
-
+    Built straight from the per-embedding closures: each factor row that
+    passes the parabolic filter carries its key block (a block depends on
+    its embedding's row alone), each member joins its rows' blocks, and the
+    first combination, the highest weight's own rows, is skipped.  Every
+    key is byte-equal to ``central_class_key(m, p, pi_tag)``."""
+    require_parabolic_dominant(chi_highest, p)
+    check_convention(convention)
+    closures = _embedding_closures(chi_highest.algebraic, convention, guard)
+    factors = [
+        [(row, _central_block(row, p)) for row in rows if row_in_lambda_p_plus(row, p.indices)]
+        for rows, _, _ in closures
+    ]
+    combos = itertools.product(*factors)
+    next(combos)  # the highest weight's own rows
+    ctx = chi_highest.algebraic.context
+    tag = chi_highest.smooth_tag
     out = [
-        (m, _join_central_key(m.smooth_tag, pi_tag, [block(row) for row in m.algebraic.components]))
-        for m in candidates.members
-        if m != chi_highest
+        (LocAnChar(_weight_unchecked(ctx, rows), tag), _join_central_key(tag, pi_tag, blocks))
+        for rows, blocks in (zip(*combo) for combo in combos)
     ]
     out.sort(key=lambda item: (item[1], char_sort_key(item[0])))
     return out

@@ -134,15 +134,15 @@ def central_class_key(chi: LocAnChar, p: ParabolicSubset, pi_tag: str) -> str:
 def _central_block(row: tuple[Fraction, ...], p: ParabolicSubset) -> str:
     """One embedding's block of a central class key, as JSON text: the
     semisimple part reduced modulo the Levi's roots, then the central
-    block, as "p/q" strings.  It depends on the row alone, so a caller
-    keying many members may build it once per distinct row."""
+    block, as "p/q" strings.  It depends on the row alone, so
+    noncritical_obstruction_set builds it once per factor row."""
     rank = p.context.rank
     coords = (*p.reduce_mod_levi(row[:rank]), *row[rank:])
     # "p/q" strings hold only digits, "-" and "/": none needs escaping
     return '["' + '","'.join([format_rational(x) for x in coords]) + '"]'
 
 
-def _join_central_key(tag: str, pi_tag: str, blocks: list[str]) -> str:
+def _join_central_key(tag: str, pi_tag: str, blocks: Iterable[str]) -> str:
     """The central class key with the given per-embedding blocks."""
     return f'["ck1",{_quote(tag)},{_quote(pi_tag)},[{",".join(blocks)}]]'
 

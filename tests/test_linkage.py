@@ -151,6 +151,12 @@ def test_candidates_precondition():
         lk.verma_factor_candidates(char(ctx, [(-2,)]), p, "paper")
     with pytest.raises(lk.NotParabolicDominant):
         lk.verma_factor_candidates(char(ctx, [(Fraction(1, 2),)]), p, "paper")
+    for coords in [(-2,), (Fraction(1, 2),)]:
+        for convention in ["paper", "bogus"]:  # dominance is checked before the convention
+            with pytest.raises(lk.NotParabolicDominant):
+                lk.noncritical_obstruction_set(char(ctx, [coords]), p, "pi", convention)
+    with pytest.raises(ValueError):
+        lk.noncritical_obstruction_set(char(ctx, [(2,)]), p, "pi", "bogus")
 
 
 def test_candidates_a2_filter():
@@ -420,6 +426,10 @@ def test_guard_across_embeddings():
     with pytest.raises(lk.OrbitGuardExceeded, match=r"embeddings 0\.\.2 \(4 x 2 = 8 members\)"):
         lk.strongly_linked_set(chi, "paper", guard=7)
     assert len(lk.strongly_linked_set(chi, "paper", guard=8)) == 8
+    borel = lk.ParabolicSubset(ctx, frozenset())
+    with pytest.raises(lk.OrbitGuardExceeded, match=r"embeddings 0\.\.2 \(4 x 2 = 8 members\)"):
+        lk.noncritical_obstruction_set(chi, borel, "pi", "paper", guard=7)
+    assert len(lk.noncritical_obstruction_set(chi, borel, "pi", "paper", guard=8)) == 7
 
     # one embedding's own search past the cap names that embedding
     ctx2 = context("A_2", embeddings=2)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import linkage_kit as lk
+from linkage_kit.linkage import char_sort_key
 from linkage_kit.rationals import format_rational
 from util import char, context, random_weight, weight
 
@@ -214,6 +215,11 @@ def test_obstruction_keys_are_the_reference_bytes(name, embeddings, central, row
         out = lk.noncritical_obstruction_set(chi, p, "pi", convention)
         for m, key in out:
             assert key == _reference_key(m, p, "pi") == lk.central_class_key(m, p, "pi")
+        # exactly the candidate set less the highest weight, in key order
+        members = [m for m, _ in out]
+        assert len(set(members)) == len(members)
+        assert set(members) == lk.verma_factor_candidates(chi, p, convention).members - {chi}
+        assert out == sorted(out, key=lambda item: (item[1], char_sort_key(item[0])))
         seen += len(out)
     assert seen > 0
 

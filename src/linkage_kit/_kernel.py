@@ -51,8 +51,12 @@ def reflection_table(rs) -> ReflectionTable:
 
     This is the root-coordinate representation of Weyl group elements of
     Casselman, "Machine calculations in Weyl groups", Invent. Math. 116
-    (1994).  The tables are built once per root system, not once per
-    search: they are cached on their contents.
+    (1994).  A coroot is built only at nonzero entries: gamma^vee is
+    looked for at the indices where beta^vee's coefficient is nonzero, and
+    s_r fixes every alpha_i^vee with <alpha_r, alpha_i^vee> = 0.  The
+    tables are built once per root system, not once per search: they are
+    cached on the dense rows, which hash faster as a key than the root
+    system's sparse form (rs._nonzeros) would.
     """
     return _build_table(rs.coroot_coeffs, rs.root_fund)
 
@@ -71,20 +75,26 @@ def _build_table(coroots, fund) -> ReflectionTable:
     sums = []
     for b in order[rank:]:
         k = coroots[b]
-        for i in range(rank):
-            gamma = k[:i] + (k[i] - 1,) + k[i + 1 :]
+        for i, c in enumerate(k):
+            if not c:
+                continue
+            gamma = k[:i] + (c - 1,) + k[i + 1 :]
             if gamma in place:
                 sums.append((place[gamma], i))
                 break
     picks = []
-    for root, k in zip(fund, coroots):
-        at = []
-        for i in range(rank):
-            image = tuple(int(j == i) - root[i] * c for j, c in enumerate(k))
+    for k, root in zip(coroots, fund):
+        at = list(range(rank))  # simple coroot i sits at place i
+        for i, f in enumerate(root):
+            if not f:
+                continue
+            image = [-f * c for c in k]
+            image[i] += 1
+            image = tuple(image)
             if image in place:
-                at.append(place[image])
+                at[i] = place[image]
             else:
-                at.append(nroots + place[tuple(-c for c in image)])
+                at[i] = nroots + place[tuple([-c for c in image])]
         picks.append(itemgetter(*at) if rank > 1 else partial(_pick_one, at[0]))
     position = tuple(place[k] for k in coroots)
     return ReflectionTable(tuple(sums), position, tuple(picks))

@@ -13,8 +13,9 @@ same form.  ``run`` builds each distinct row's coordinate list and each
 distinct witness step's document once per job and shares them across
 the document; ``render_json`` writes each shared row list once per depth.
 Exit codes: 0 success, 2 validation error, 3 guard exhaustion,
-4 oracle disagreement; an internal fault (an error no input can cause)
-ends the process with a traceback, status 1.
+4 oracle disagreement, 141 stdout closed before the document was written
+(``| head``; nothing more is printed); an internal fault (an error no
+input can cause) ends the process with a traceback, status 1.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .linkage import (
     strongly_linked_set,
     verma_factor_candidates,
 )
-from .oracle import stabilized_chain_set
+from .oracle import _states_agree
 from .parabolic import ParabolicSubset, in_lambda_p_plus, row_in_lambda_p_plus
-from .rationals import format_rational, parse_rational
+from .rationals import _within_digit_limit, format_rational, parse_rational
 from .rootsys import build_root_system
 from .weights_chars import (
     CONVENTIONS,
@@ -64,6 +65,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_ORACLE_MISMATCH = 4
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer a closed pipe ended
 
 
 class ValidationError(LinkageKitError):
@@ -85,6 +87,12 @@ def _as_bool(value, field: str) -> bool:
 
 def _as_int(value, field: str, minimum: int | None = None) -> int:
     _expect(isinstance(value, int) and not isinstance(value, bool), field, "expected an integer")
+    # as argv and job files refuse it: messages and the normal form print the int
+    _expect(
+        _within_digit_limit(value),
+        field,
+        f"integer of more than {sys.get_int_max_str_digits()} digits",
+    )
     if minimum is not None:
         _expect(value >= minimum, field, f"must be >= {minimum}")
     return value
@@ -104,7 +112,15 @@ def jobspec_from_dict(data: dict) -> dict:
     and booleans): every field present, a type name in canonical form
     ("A1xA1" becomes "A_1xA_1"), ``parabolic`` sorted without repeats,
     coordinates as canonical "p/q" strings.  Parsing it again returns an
-    equal dict.
+    equal dict.  An int of more digits than int() parses back from text
+    (4300 by default) is refused on its field, as argv and job files
+    refuse it.
+
+    Every field is echoed, but not every command reads every field:
+    ``parabolic`` is read only by ``candidates``, ``obstructions`` and
+    ``dominance``, and ``pi_tag`` only by ``obstructions``.  Elsewhere
+    both are checked, echoed and ignored (``factors`` with a parabolic
+    prints the Borel closure).
     """
     _expect(isinstance(data, dict), "job", "job document must be a JSON object")
     known = {
@@ -376,16 +392,13 @@ def run(job: dict) -> tuple[int, dict]:
 
     exit_code = EXIT_OK
     if job["oracle"]:  # set only on the closure commands
-        oracle_set = stabilized_chain_set(chi, convention)
-        if command in ("candidates", "obstructions"):
-            oracle_set = frozenset(
-                m for m in oracle_set if in_lambda_p_plus(m.algebraic, parabolic)
-            )
+        indices = parabolic.indices if command in ("candidates", "obstructions") else ()
         if command == "obstructions":
-            oracle_set -= {chi}
-            base_members = frozenset(m for m, _ in obstructions)
-        agrees = oracle_set == base_members
-        oracle_doc = {"checked": True, "agrees": agrees, "count": len(oracle_set)}
+            base_members = [m for m, _ in obstructions]
+        agrees, count = _states_agree(
+            chi, convention, indices, base_members, drop_origin=command == "obstructions"
+        )
+        oracle_doc = {"checked": True, "agrees": agrees, "count": count}
         if not agrees:
             exit_code = EXIT_ORACLE_MISMATCH
 
@@ -609,10 +622,15 @@ def main(argv=None) -> int:
         print(render_json(_error_document("guard", str(exc))), file=sys.stderr)
         return EXIT_GUARD
 
-    if args.format == "table":
-        print(render_table(document))
-    else:
-        print(render_json(document))
+    text = render_table(document) if args.format == "table" else render_json(document)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): end quietly, and point stdout
+        # at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     return exit_code
 
 

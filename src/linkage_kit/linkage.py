@@ -256,9 +256,15 @@ def _product_closure(
 def strongly_linked_set(
     chi: LocAnChar, convention: str, *, guard: int = DEFAULT_ORBIT_GUARD
 ) -> LinkageResult:
-    """Downward closure of chi under gated dot reflections: the exact set
-    of simple factors of the Verma module with highest weight chi induced
-    from the Borel (multiplicities are not computed).
+    """Downward closure of chi under gated dot reflections.
+
+    Under ``"shifted"``, for an integral chi whose rho-shift is regular,
+    this is exactly the set of simple factors of the Verma module with
+    highest weight chi induced from the Borel, the Bruhat interval above
+    chi's Weyl group element (Bernstein, Gelfand and Gelfand; checked in
+    tests/test_bgg.py).  ``"paper"`` gives a subset of it, often a strict
+    one.  Singular and non-integral weights are not checked against the
+    theorem.  Multiplicities are not computed.
 
     Computed as the product over embeddings of one breadth-first closure
     per embedding.  Terminates because every link strictly lowers the
@@ -281,9 +287,11 @@ def verma_factor_candidates(
     """Candidate factor set for the parabolic Verma module: strongly
     linked characters whose weight is dominant-integral for the parabolic.
 
-    Exact at the Borel (empty subset); for proper parabolics this is an
-    upper bound on the true factor set, flagged via ``upper_bound``; the
-    result's ``parabolic`` holds the filter's indices."""
+    At the Borel (empty subset) this is the closure, so it is exact where
+    strongly_linked_set is: under ``"shifted"``, for integral weights with
+    a regular rho-shift.  For proper parabolics this is an upper bound on
+    the true factor set, flagged via ``upper_bound``; the result's
+    ``parabolic`` holds the filter's indices."""
     require_parabolic_dominant(chi_highest, p)
     members, witness = _product_closure(chi_highest, convention, guard, p.indices)
     return LinkageResult(

@@ -11,8 +11,12 @@ guard bounds its levels too).  A state is one scaled-integer block per
 embedding in the kernel's row encoding (weights_chars.encode_row and
 decode_block), but the gate-and-move step (_gated_children) is its own:
 it computes every pairing as a dot product with a coroot and moves the
-unshifted block along the root, while the kernel reads pairings and
-children off signed permutations of the coroots.
+unshifted block along the root, both over the nonzero entries of the
+root system's sparse form, while the kernel reads pairings and children
+off signed permutations of the coroots.  The CLI compares on the
+oracle's integer states (_states_agree): it filters the level walk's
+states by the parabolic in integers and encodes the printed members with
+the origin's denominators, so no state is decoded.
 
 verify_closure (closures and candidate sets) and verify_orbit (dot
 orbits) certify a result without the search kernel: they close each
@@ -52,25 +56,49 @@ def _gated_children(rs, dens, convention, state):
     embedding sigma is sigma * nroots + r.  The gates are the linkage
     gates of convention "paper" or "shifted", or for None the orbit gates:
     every simple root (positive roots 0 .. rank-1), with no integrality
-    test."""
-    coroots, fund, heights = rs.coroot_coeffs, rs.root_fund, rs.coroot_heights
+    test.  Pairings and moves read only the nonzero entries of the coroot
+    and root rows (rs._nonzeros)."""
+    nonzeros, heights = rs._nonzeros, rs.coroot_heights
     nroots = len(heights)
     roots = range(rs.rank if convention is None else nroots)
     shifted = convention == "shifted"
     for sigma, (d, block) in enumerate(zip(dens, state)):
         for r in roots:
-            num = sum(k * x for k, x in zip(coroots[r], block))
+            coroot, root = nonzeros[r]
+            num = 0
+            for i, k in coroot:
+                num += k * block[i]
             step = num + d * heights[r]  # d times the rho-shifted pairing
             if convention is not None:
-                if num % d:
+                if d != 1 and num % d:
                     continue  # pairing not an integer
                 if step <= 0 if shifted else num < 0:
                     continue
             if step == 0:
                 continue
+            moved = list(block)
+            for i, f in root:
+                moved[i] -= step * f
             child = list(state)
-            child[sigma] = tuple([x - step * f for x, f in zip(block, fund[r])])
+            child[sigma] = tuple(moved)
             yield sigma * nroots + r, tuple(child)
+
+
+def _chain_states(lam: WeightL, convention: str):
+    """The level walk of stabilized_chain_set on scaled-integer states:
+    (dens, start, endpoints), with dens the denominator of each of lam's
+    semisimple rows, start lam's state and endpoints the set of states
+    (start included)."""
+    dens, start = zip(*(encode_row(lam.semisimple(s)) for s in range(lam.context.num_embeddings)))
+    step = partial(_gated_children, lam.context.base, dens, convention)
+    level = {start}
+    endpoints = set(level)
+    while True:
+        level = {child for state in level for _, child in step(state)}
+        if level <= endpoints:
+            break
+        endpoints |= level
+    return dens, start, endpoints
 
 
 def stabilized_chain_set(chi: LocAnChar, convention: str) -> frozenset[LocAnChar]:
@@ -89,22 +117,57 @@ def stabilized_chain_set(chi: LocAnChar, convention: str) -> frozenset[LocAnChar
     check_convention(convention)
     lam = chi.algebraic
     ctx = lam.context
-    dens, start = zip(*(encode_row(lam.semisimple(s)) for s in range(ctx.num_embeddings)))
+    dens, _, endpoints = _chain_states(lam, convention)
     centrals = [lam.central(s) for s in range(ctx.num_embeddings)]
-    step = partial(_gated_children, ctx.base, dens, convention)
-    level = {start}
-    endpoints = set(level)
-    while True:
-        level = {child for state in level for _, child in step(state)}
-        if level <= endpoints:
-            break
-        endpoints |= level
 
     def decode(state):
         rows = (decode_block(d, block) + c for d, block, c in zip(dens, state, centrals))
         return LocAnChar(_weight_unchecked(ctx, tuple(rows)), chi.smooth_tag)
 
     return frozenset(map(decode, endpoints))
+
+
+def _states_agree(chi, convention, indices, members, drop_origin) -> tuple[bool, int]:
+    """The CLI's --oracle check, on the oracle's integer states: whether
+    ``members`` (the production closure, candidate set or obstruction
+    list of chi, a collection of LocAnChar) are exactly the endpoints of
+    stabilized_chain_set whose rows pass row_in_lambda_p_plus for the
+    parabolic ``indices`` (0-based), without chi's own when drop_origin;
+    and how many such endpoints there are.
+
+    Nothing is decoded.  The filter reads each state in integers (b[i]
+    divisible by d and >= 0).  A member with chi's context, smooth tag and
+    central blocks, whose denominators divide chi's d of each embedding,
+    is encoded with those d; any other member cannot be an endpoint.  The
+    two state sets are compared, and the member count too, so that a
+    repeated member disagrees."""
+    check_convention(convention)
+    lam = chi.algebraic
+    ctx = lam.context
+    dens, start, endpoints = _chain_states(lam, convention)
+    if indices:
+        endpoints = {
+            state
+            for state in endpoints
+            if all(b[i] % d == 0 and b[i] >= 0 for d, b in zip(dens, state) for i in indices)
+        }
+    if drop_origin:
+        endpoints.discard(start)
+    rank, tag = ctx.rank, chi.smooth_tag
+    per_row = list(zip(dens, (lam.central(s) for s in range(ctx.num_embeddings))))
+
+    def encode(m):
+        if m.smooth_tag != tag or m.algebraic.context != ctx:
+            return None
+        state = []
+        for (d, central), row in zip(per_row, m.algebraic.components):
+            if row[rank:] != central or any(d % x.denominator for x in row[:rank]):
+                return None
+            state.append(tuple([x.numerator * (d // x.denominator) for x in row[:rank]]))
+        return tuple(state)
+
+    states = set(map(encode, members))
+    return len(states) == len(members) and states == endpoints, len(endpoints)
 
 
 def _factor(lam: WeightL, sigma: int, convention: str | None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -21,6 +21,7 @@ from typing import Sequence
 from .errors import IndexOutOfRange, InvalidCartan, RankMismatch
 
 IntMatrix = tuple[tuple[int, ...], ...]
+_SparseRow = tuple[tuple[int, int], ...]  # the nonzero (index, entry) pairs of a row
 
 _NAMED_TYPE = re.compile(r"^([A-G])_?([0-9]+)$")
 
@@ -181,33 +182,52 @@ def _generate_positive_roots(a: IntMatrix):
 
     Roots are tracked as (coefficients over simple roots, coefficients of
     the coroot over simple coroots); the two reflect in dual coordinates,
-    keeping the pairing data exact for non-simply-laced types.
+    keeping the pairing data exact for non-simply-laced types.  A root's
+    pairings with the simple coroots, its fundamental coordinates, are
+    summed over the nonzero entries of the Cartan columns at its nonzero
+    coefficients; only a nonzero pairing moves the root, and a move changes
+    one coefficient.  Returns the roots, their coroots and their
+    fundamental coordinates, all in the same order.
     """
     n = len(a)
-    roots: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # column j of the Cartan matrix: its nonzero (i, a[i][j])
+    columns = [tuple((i, a[i][j]) for i in range(n) if a[i][j]) for j in range(n)]
+    roots: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     worklist = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
-        roots[e] = e
+        roots[e] = (e, ())
         worklist.append((e, e))
     while worklist:
         c, k = worklist.pop()
-        for i in range(n):
-            pair = sum(a[i][j] * c[j] for j in range(n))
-            c2 = list(c)
-            c2[i] -= pair
-            c2 = tuple(c2)
-            if c2 in roots or any(x < 0 for x in c2):
+        fund = [0] * n
+        for j, cj in enumerate(c):
+            if cj:
+                for i, aij in columns[j]:
+                    fund[i] += aij * cj
+        roots[c] = (k, tuple(fund))
+        for i, pair in enumerate(fund):
+            if not pair or c[i] < pair:  # fixed, or a negative coefficient
                 continue
-            copair = sum(a[j][i] * k[j] for j in range(n))
-            k2 = list(k)
-            k2[i] -= copair
-            roots[c2] = tuple(k2)
-            worklist.append((c2, roots[c2]))
+            c2 = c[:i] + (c[i] - pair,) + c[i + 1 :]
+            if c2 in roots:
+                continue
+            copair = sum(aji * k[j] for j, aji in columns[i])
+            k2 = k[:i] + (k[i] - copair,) + k[i + 1 :]
+            roots[c2] = (k2, ())
+            worklist.append((c2, k2))
     # the simple roots are the only roots of height 1, so e_0 ... e_{n-1}
     # come first, in order
     order = sorted(roots, key=lambda c: (sum(c), c[::-1]))
-    return tuple(order), tuple(roots[c] for c in order)
+    return (
+        tuple(order),
+        tuple(roots[c][0] for c in order),
+        tuple(roots[c][1] for c in order),
+    )
+
+
+def _sparse_row(row: Sequence[int]) -> _SparseRow:
+    return tuple([(i, x) for i, x in enumerate(row) if x])
 
 
 @dataclass(frozen=True)
@@ -218,6 +238,13 @@ class RootSystem:
     coroot_coeffs[r] the coefficients of the coroot over simple coroots,
     root_fund[r] the root written in fundamental-weight coordinates and
     coroot_heights[r] the pairing of the Weyl vector with the coroot.
+
+    The same data in sparse form, derived from the dense rows and not
+    compared: _nonzeros[r] is the pair (nonzero (index, coefficient)
+    entries of coroot_coeffs[r], those of root_fund[r]).  A Cartan row has
+    at most four nonzero entries and most root and coroot rows are mostly
+    zeros, so a pairing or a move along a root reads the nonzeros only, as
+    in Casselman's root-coordinate tables.
     """
 
     cartan: IntMatrix
@@ -226,6 +253,13 @@ class RootSystem:
     root_fund: tuple[tuple[int, ...], ...]
     coroot_heights: tuple[int, ...]
     name: str | None = None
+    _nonzeros: tuple[tuple[_SparseRow, _SparseRow], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        sparse = tuple(zip(map(_sparse_row, self.coroot_coeffs), map(_sparse_row, self.root_fund)))
+        object.__setattr__(self, "_nonzeros", sparse)
 
     @property
     def rank(self) -> int:
@@ -244,13 +278,13 @@ class RootSystem:
         # summed over a running common denominator in ints: one Fraction
         # at the end instead of one per coordinate
         num, den = 0, 1
-        for c, w in zip(self.coroot_coeffs[root_index], weight):
-            if c:
-                n, d = w.numerator, w.denominator
-                if d == den:
-                    num += c * n
-                else:
-                    num, den = num * d + c * n * den, den * d
+        for i, c in self._nonzeros[root_index][0]:
+            w = weight[i]
+            n, d = w.numerator, w.denominator
+            if d == den:
+                num += c * n
+            else:
+                num, den = num * d + c * n * den, den * d
         return Fraction(num, den)
 
     def root_index(self, coeffs: Sequence[int]) -> int:
@@ -290,19 +324,14 @@ def _root_system(matrix: IntMatrix, name: str | None) -> RootSystem:
     wrong number of roots is a fault in this module, not in the input, so
     it raises RuntimeError."""
     _check_finite_type(matrix)
-    positive, coroots = _generate_positive_roots(matrix)
+    positive, coroots, root_fund = _generate_positive_roots(matrix)
 
-    rank = len(matrix)
     if name is not None and len(positive) != positive_root_count(name):
         raise RuntimeError(
             f"generated {len(positive)} positive roots for {name}, "
             f"expected {positive_root_count(name)}"
         )
 
-    root_fund = tuple(
-        tuple(sum(matrix[i][j] * c[j] for j in range(rank)) for i in range(rank))
-        for c in positive
-    )
     heights = tuple(sum(k) for k in coroots)
 
     return RootSystem(

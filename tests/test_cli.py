@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -58,6 +59,27 @@ def test_only_integers_and_fractions_are_rationals(text):
         make_job(character={"coords": [[text]], "smooth_tag": "t"})
     assert err.value.field == "character.coords[0][0]"
     assert err.value.message == f"malformed rational {text!r}"
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"character": {"coords": [[10**4400]], "smooth_tag": "t"}}, "character.coords[0][0]"),
+        ({"central": 10**4400}, "central"),
+        ({"embeddings": 10**4400}, "embeddings"),
+        ({"parabolic": [10**4400]}, "parabolic"),
+    ],
+    ids=["coordinate", "central", "embeddings", "parabolic"],
+)
+def test_ints_past_the_digit_limit_are_field_errors(overrides, field):
+    # a job document given as a Python dict, not as text: argv and job
+    # files already stop at int()'s and json's digit limit
+    with pytest.raises(ValidationError) as err:
+        make_job(**overrides)
+    assert err.value.field == field
+    assert err.value.message == f"integer of more than {sys.get_int_max_str_digits()} digits"
+    # one digit fewer than the limit is an ordinary integer
+    assert make_job(character={"coords": [[10**4299]], "smooth_tag": "t"})
 
 
 def test_unknown_field_rejected():
@@ -163,10 +185,10 @@ def test_oracle_agreement_exit_codes(monkeypatch):
     assert doc["oracle"] == {"checked": True, "agrees": True, "count": 2}
 
     # a lying oracle must flip the exit code
-    def bad_oracle(chi, convention):
-        return frozenset({chi})
+    def bad_oracle(chi, convention, indices, members, drop_origin):
+        return False, 1  # the origin's state alone
 
-    monkeypatch.setattr(cli, "stabilized_chain_set", bad_oracle)
+    monkeypatch.setattr(cli, "_states_agree", bad_oracle)
     code, doc = run(job)
     assert code == 4
     assert doc["oracle"]["agrees"] is False
@@ -196,6 +218,99 @@ def test_oracle_agrees_on_candidates_and_factors():
     assert code == 0
     assert doc["oracle"]["agrees"] is True
     assert doc["oracle"]["count"] == doc["result"]["count"]
+
+
+def test_factors_ignores_the_parabolic():
+    # parabolic is read by candidates, obstructions and dominance only:
+    # factors echoes it and prints the Borel closure
+    b2 = {"root_system": "B_2", "character": {"coords": [["1", "0"]], "smooth_tag": "t"}}
+    _, borel = run(make_job(command="factors", **b2))
+    code, doc = run(make_job(command="factors", parabolic=[1], **b2))
+    assert code == 0
+    assert doc["job"]["parabolic"] == [1]
+    assert doc["result"] == borel["result"]
+    assert "upper_bound" not in doc["result"]
+    _, candidates = run(make_job(command="candidates", parabolic=[1], **b2))
+    assert candidates["result"]["count"] < doc["result"]["count"]
+
+
+# A job whose members have two embeddings, a central block and a
+# parabolic-filtered subset, for the mutants below.
+MUTANT_JOB = {
+    "root_system": "A_2",
+    "embeddings": 2,
+    "central": 1,
+    "character": {"coords": [["1", "0", "1/2"], ["0", "2", "-1"]], "smooth_tag": "t"},
+}
+
+
+def _moved(m, index=0, by=0, tag=None):
+    """m with coordinate ``index`` of its first row moved by ``by``, and
+    its smooth tag replaced by ``tag`` if given."""
+    rows = [list(row) for row in m.algebraic.components]
+    rows[0][index] += by
+    return lk.LocAnChar(lk.WeightL(m.algebraic.context, rows), tag or m.smooth_tag)
+
+
+def _zero_made_half(ms):
+    """ms with the first zero among its first rows' semisimple coordinates
+    made 1/2.  The rows are integral (d = 1), so an encoding that skipped
+    the divisibility check (1 * (1 // 2)) would read that 1/2 as 0 again."""
+    n, i = next(
+        (n, i) for n, m in enumerate(ms) for i in (0, 1) if m.algebraic.components[0][i] == 0
+    )
+    return ms[:n] + [_moved(ms[n], index=i, by=Fraction(1, 2))] + ms[n + 1 :]
+
+
+# each takes the members a command prints (sorted) and the origin
+MUTANTS = {
+    "extra_member": lambda ms, chi: ms + [_moved(chi, by=100)],
+    "missing_member": lambda ms, chi: ms[1:],
+    "smooth_tag": lambda ms, chi: [_moved(ms[0], tag="other")] + ms[1:],
+    "central_block": lambda ms, chi: [_moved(ms[0], index=2, by=1)] + ms[1:],
+    "denominator": lambda ms, chi: _zero_made_half(ms),
+    # a member set cannot repeat a member or miss the origin: obstruction lists only
+    "duplicate": lambda ms, chi: ms + ms[:1],
+    "origin_kept": lambda ms, chi: ms + [chi],
+}
+
+
+@pytest.mark.parametrize(
+    "command,mutant",
+    [
+        (command, mutant)
+        for command in ("linkset", "candidates", "obstructions")
+        for mutant in [None, *MUTANTS]
+        if command == "obstructions" or mutant not in ("duplicate", "origin_kept")
+    ],
+)
+def test_oracle_refuses_wrong_members(command, mutant, monkeypatch):
+    edit = MUTANTS[mutant] if mutant else lambda ms, chi: ms
+    if command == "obstructions":
+        real_list = cli.noncritical_obstruction_set
+
+        def mutated_list(chi, p, pi_tag, convention, *, guard):
+            members = [m for m, _ in real_list(chi, p, pi_tag, convention, guard=guard)]
+            return [(m, "key") for m in edit(members, chi)]
+
+        monkeypatch.setattr(cli, "noncritical_obstruction_set", mutated_list)
+    else:
+        name = "strongly_linked_set" if command == "linkset" else "verma_factor_candidates"
+        real_set = getattr(cli, name)
+
+        def mutated_set(*args, **kwargs):
+            r = real_set(*args, **kwargs)
+            members = edit(sorted(r.members, key=lk.linkage.char_sort_key), r.origin)
+            return lk.LinkageResult(r.origin, frozenset(members), {}, r.convention, r.parabolic)
+
+        monkeypatch.setattr(cli, name, mutated_set)
+    parabolic = [] if command == "linkset" else [1]
+    code, doc = run(make_job(command=command, parabolic=parabolic, oracle=True, **MUTANT_JOB))
+    if mutant is None:
+        assert (code, doc["oracle"]["agrees"]) == (0, True)
+        assert doc["oracle"]["count"] == doc["result"]["count"] > 1
+    else:
+        assert (code, doc["oracle"]["agrees"]) == (cli.EXIT_ORACLE_MISMATCH, False)
 
 
 @pytest.mark.parametrize(
@@ -265,20 +380,42 @@ def test_table_rendering():
     assert "count: 1" in table
 
 
-def _run_cli(args, env_extra=None):
-    import os
-
+def _cli_env(env_extra=None):
     env = dict(os.environ)
     env.update(env_extra or {})
     # the child imports the package under test, also from a checkout
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def _run_cli(args, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "linkage_kit", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_cli_env(env_extra),
     )
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["json", "table"])
+def test_closed_stdout_ends_quietly(table):
+    # as `linkage-kit ... | head` once head has exited: the read end is
+    # closed before the child starts, so its first write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    args = ["--root-system", "A_2", "--weight", "0,0", "--command", "linkset", "--witness"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "linkage_kit", *args, *(["--format", "table"] if table else [])],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_cli_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == cli.EXIT_CLOSED_STDOUT == 141
 
 
 def test_cli_end_to_end_deterministic():

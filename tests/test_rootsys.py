@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import linkage_kit as lk
+from linkage_kit import _kernel
 from util import context, root_system, simple_perms, weight
 
 # Closed-form positive-root counts, written out independently of the library:
@@ -238,3 +239,90 @@ def test_cache_is_keyed_on_the_canonical_spec():
     assert lk.build_root_system([[2, -1], [-1, 2]]).name is None
     assert lk.build_root_system("A2") == lk.build_root_system("A_2")
     assert lk.build_root_system("A2").name == "A_2"
+
+
+# Dense references for the sparse form: the root closure, the fundamental
+# coordinates and the kernel's tables computed over every coordinate.
+SPARSE_SYSTEMS = ["A_20", "A_40", "E_8", "F_4", "G_2", "B_7", "C_6", "D_9", "E_6xA_3"]
+
+
+def dense_root_data(a):
+    """(roots, coroots, root_fund, heights) by closing the simple roots under
+    the simple reflections with every pairing a full dot product."""
+    n = len(a)
+    coroot_of = {}
+    todo = []
+    for i in range(n):
+        e = tuple(int(j == i) for j in range(n))
+        coroot_of[e] = e
+        todo.append(e)
+    while todo:
+        c = todo.pop()
+        k = coroot_of[c]
+        for i in range(n):
+            pair = sum(a[i][j] * c[j] for j in range(n))
+            c2 = tuple(x - pair if j == i else x for j, x in enumerate(c))
+            if c2 in coroot_of or min(c2) < 0:
+                continue
+            copair = sum(a[j][i] * k[j] for j in range(n))
+            coroot_of[c2] = tuple(x - copair if j == i else x for j, x in enumerate(k))
+            todo.append(c2)
+    roots = sorted(coroot_of, key=lambda c: (sum(c), c[::-1]))
+    coroots = [coroot_of[c] for c in roots]
+    fund = [tuple(sum(a[i][j] * c[j] for j in range(n)) for i in range(n)) for c in roots]
+    return roots, coroots, fund, [sum(k) for k in coroots]
+
+
+def dense_table(coroots, fund):
+    """(sums, position, picks as index tuples) of _kernel's reflection table,
+    every candidate coroot built over all coordinates."""
+    nroots, rank = len(coroots), len(coroots[0])
+    order = sorted(range(nroots), key=lambda b: sum(coroots[b]))
+    place = {coroots[b]: p for p, b in enumerate(order)}
+    sums = []
+    for b in order[rank:]:
+        k = coroots[b]
+        for i in range(rank):
+            gamma = k[:i] + (k[i] - 1,) + k[i + 1 :]
+            if gamma in place:
+                sums.append((place[gamma], i))
+                break
+    picks = []
+    for root, k in zip(fund, coroots):
+        at = []
+        for i in range(rank):
+            image = tuple(int(j == i) - root[i] * c for j, c in enumerate(k))
+            at.append(place[image] if image in place else nroots + place[tuple(-c for c in image)])
+        picks.append(tuple(at))
+    return tuple(sums), tuple(place[k] for k in coroots), picks
+
+
+@pytest.mark.parametrize("name", SPARSE_SYSTEMS)
+def test_sparse_root_data_matches_dense(name):
+    rs = root_system(name)
+    for (coroot, root), k, f in zip(rs._nonzeros, rs.coroot_coeffs, rs.root_fund):
+        assert coroot == tuple((i, x) for i, x in enumerate(k) if x)
+        assert root == tuple((i, x) for i, x in enumerate(f) if x)
+    roots, coroots, fund, heights = dense_root_data(rs.cartan)
+    assert list(rs.positive_roots) == roots
+    assert list(rs.coroot_coeffs) == coroots
+    assert list(rs.root_fund) == fund
+    assert list(rs.coroot_heights) == heights
+    assert rs.num_positive == lk.positive_root_count(name)
+
+    table = _kernel.reflection_table(rs)
+    sums, position, picks = dense_table(coroots, fund)
+    assert table.sums == sums
+    assert table.position == position
+    E = list(range(2 * rs.num_positive))  # a pick applied to indices returns them
+    assert [pick(E) for pick in table.picks] == picks
+
+
+def test_sparse_form_is_not_compared():
+    rs = root_system("B_3")
+    assert "_nonzeros" not in repr(rs)
+    direct = lk.RootSystem(
+        rs.cartan, rs.positive_roots, rs.coroot_coeffs, rs.root_fund, rs.coroot_heights
+    )
+    assert direct == lk.build_root_system(rs.cartan)
+    assert direct._nonzeros == rs._nonzeros  # derived from the dense rows on construction

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, InvalidCartan, RankMismatch
 
@@ -230,6 +232,71 @@ def _sparse_row(row: Sequence[int]) -> _SparseRow:
     return tuple([(i, x) for i, x in enumerate(row) if x])
 
 
+class ReflectionTable(NamedTuple):
+    """Root-coordinate tables of one root system; see _reflection_table."""
+
+    sums: tuple[tuple[int, int], ...]
+    position: tuple[int, ...]
+    picks: tuple[Callable, ...]
+
+
+def _pick_one(at, E):
+    return (E[at],)  # a one-index itemgetter would return a bare value
+
+
+def _reflection_table(rs: RootSystem) -> ReflectionTable:
+    """Reflections of the root system rs as signed permutations of the
+    coroot pairings, from its coroot coefficient rows and its root rows in
+    fundamental coordinates (simple roots first).
+
+    The pairings q of a shifted block with the positive coroots are laid
+    out in coroot-height order, the simple coroots (the block itself)
+    first.  ``sums`` holds, for every later coroot beta^vee in that order,
+    a pair (p, i) with beta^vee = gamma^vee + alpha_i^vee and gamma^vee at
+    place p, so appending q[p] + q[i] for each pair builds q with one
+    addition per non-simple coroot.  ``position[r]`` is the place of
+    positive root r in q.  With E = q + [-x for x in q], the signed
+    pairings, the reflection s_r maps alpha_i^vee to
+    alpha_i^vee - <alpha_r, alpha_i^vee> alpha_r^vee, which is plus or
+    minus a positive coroot, so ``picks[r](E)`` is the shifted block of
+    s_r(key): no multiplication, no overflow.
+
+    This is the root-coordinate representation of Weyl group elements of
+    Casselman, "Machine calculations in Weyl groups", Invent. Math. 116
+    (1994).  It reads the nonzero entries only (rs._nonzeros): gamma^vee is
+    looked for at the indices where beta^vee's coefficient is nonzero, and
+    s_r fixes every alpha_i^vee with <alpha_r, alpha_i^vee> = 0.
+    """
+    coroots = rs.coroot_coeffs
+    nroots = len(coroots)
+    rank = len(coroots[0])
+    # a stable sort keeps the simple coroots (the only ones of height 1) first
+    order = sorted(range(nroots), key=lambda b: sum(coroots[b]))
+    place = {coroots[b]: p for p, b in enumerate(order)}
+    sums = []
+    for b in order[rank:]:
+        k = coroots[b]
+        for i, c in rs._nonzeros[b][0]:
+            gamma = k[:i] + (c - 1,) + k[i + 1 :]
+            if gamma in place:
+                sums.append((place[gamma], i))
+                break
+    picks = []
+    for k, (_, root) in zip(coroots, rs._nonzeros):
+        at = list(range(rank))  # simple coroot i sits at place i
+        for i, f in root:
+            image = [-f * c for c in k]
+            image[i] += 1
+            image = tuple(image)
+            if image in place:
+                at[i] = place[image]
+            else:
+                at[i] = nroots + place[tuple([-c for c in image])]
+        picks.append(itemgetter(*at) if rank > 1 else partial(_pick_one, at[0]))
+    position = tuple(place[k] for k in coroots)
+    return ReflectionTable(tuple(sums), position, tuple(picks))
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Immutable root-system data produced by :func:`build_root_system`.
@@ -239,12 +306,14 @@ class RootSystem:
     root_fund[r] the root written in fundamental-weight coordinates and
     coroot_heights[r] the pairing of the Weyl vector with the coroot.
 
-    The same data in sparse form, derived from the dense rows and not
-    compared: _nonzeros[r] is the pair (nonzero (index, coefficient)
-    entries of coroot_coeffs[r], those of root_fund[r]).  A Cartan row has
-    at most four nonzero entries and most root and coroot rows are mostly
-    zeros, so a pairing or a move along a root reads the nonzeros only, as
-    in Casselman's root-coordinate tables.
+    Two derived fields, built on construction from the dense rows and
+    neither shown nor compared.  _nonzeros[r] is the pair (nonzero
+    (index, coefficient) entries of coroot_coeffs[r], those of
+    root_fund[r]).  A Cartan row has at most four nonzero entries and most
+    root and coroot rows are mostly zeros, so a pairing or a move along a
+    root reads the nonzeros only, as in Casselman's root-coordinate
+    tables.  _table is the search kernel's reflection table (see
+    _reflection_table), built once per root system.
     """
 
     cartan: IntMatrix
@@ -256,10 +325,12 @@ class RootSystem:
     _nonzeros: tuple[tuple[_SparseRow, _SparseRow], ...] = field(
         init=False, repr=False, compare=False
     )
+    _table: ReflectionTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sparse = tuple(zip(map(_sparse_row, self.coroot_coeffs), map(_sparse_row, self.root_fund)))
         object.__setattr__(self, "_nonzeros", sparse)
+        object.__setattr__(self, "_table", _reflection_table(self))
 
     @property
     def rank(self) -> int:
@@ -301,28 +372,30 @@ def build_root_system(kind: str | Sequence[Sequence[int]]) -> RootSystem:
     "A_2xA_1") or an explicit square Cartan matrix.  Positive roots are
     generated by closing the simple roots under simple reflections;
     construction rejects matrices that are not finite type.  The input is
-    parsed and validated on every call; the construction is cached on
-    (validated matrix, canonical name).
+    parsed on every call: a name to its canonical form ("A2" is "A_2"),
+    a matrix to its validated form, and the construction is cached on
+    that (see _root_system).
     """
-    name: str | None = None
     if isinstance(kind, str):
-        factors = _parse_name(kind)
-        name = _canonical_name(factors)
-        matrix = _validate_cartan_shape(
-            _block_diagonal([_named_cartan(letter, n) for letter, n in factors])
-        )
-    else:
-        matrix = _validate_cartan_shape(kind)
-    return _root_system(matrix, name)
+        return _root_system(_canonical_name(_parse_name(kind)))
+    return _root_system(_validate_cartan_shape(kind))
 
 
 @lru_cache(maxsize=64)
-def _root_system(matrix: IntMatrix, name: str | None) -> RootSystem:
-    """Check, generate and construct for a validated matrix.  RootSystem is
-    immutable, so the result is cached on the inputs; an error is not
-    cached and is raised again on every call.  A named type generating the
-    wrong number of roots is a fault in this module, not in the input, so
-    it raises RuntimeError."""
+def _root_system(spec: str | IntMatrix) -> RootSystem:
+    """Build, check, generate and construct for a canonical type name or a
+    validated matrix.  RootSystem is immutable, so the result, its
+    reflection table included, is cached on ``spec``: a cached call on a
+    name builds no matrix.  An error is not cached and is raised again on
+    every call.  A named type generating the wrong number of roots is a
+    fault in this module, not in the input, so it raises RuntimeError."""
+    if isinstance(spec, str):
+        name = spec
+        matrix = _validate_cartan_shape(
+            _block_diagonal([_named_cartan(letter, n) for letter, n in _parse_name(name)])
+        )
+    else:
+        name, matrix = None, spec
     _check_finite_type(matrix)
     positive, coroots, root_fund = _generate_positive_roots(matrix)
 

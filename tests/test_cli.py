@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -945,3 +946,107 @@ def test_parser_is_reused_without_state(capsys):
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert cli.main(base) == 0
     assert json.loads(capsys.readouterr().out)["job"]["witness"] is False
+
+
+# Seeded fuzz of the job contract: valid job documents of every command, each
+# with one to three fields replaced from a fixed pool of bad and good values.
+_FUZZ_JOBS = [
+    {"root_system": "A_2", "embeddings": 2, "character": {"coords": [["1/2", "0"], ["0", "-1"]]},
+     "command": "linkset", "witness": True, "oracle": True},
+    {"root_system": "B_2", "central": 1, "character": {"coords": [["-1", "0", "1/3"]]},
+     "command": "factors", "convention": "shifted"},
+    {"root_system": [[2, -1], [-1, 2]], "parabolic": [1],
+     "character": {"coords": [["1", "-2"]], "smooth_tag": "s"}, "command": "candidates",
+     "witness": True},
+    {"root_system": "B_2", "embeddings": 2, "central": 1, "parabolic": [1],
+     "character": {"coords": [["2", "-1", "1/2"], ["0", "0", "3"]]}, "pi_tag": "pi",
+     "command": "obstructions", "oracle": True},
+    {"root_system": "G_2", "parabolic": [2], "character": {"coords": [["0", "5/2"]]},
+     "command": "dominance"},
+    {"root_system": "A1xA1", "character": {"coords": [["1", "-1"]]}, "command": "orbit",
+     "schema": cli.SCHEMA},
+]
+# (path into the document, valid replacements); a path ending in a row or a
+# coordinate is taken modulo the document's own lengths
+_FUZZ_FIELDS = [
+    (("schema",), [cli.SCHEMA]),
+    (("root_system",), ["A_1", "A2", "B_2", "G_2", [[2, -1], [-1, 2]], [[2, -3], [-1, 2]]]),
+    (("embeddings",), [1, 2]),
+    (("central",), [0, 1]),
+    (("parabolic",), [[], [1], [2, 1, 1]]),
+    (("character",), [{"coords": [["0", "0"]]}]),
+    (("character", "coords"), [[["0", "1"]], [["1", "1"], ["-3", "1/2"]]]),
+    (("character", "coords", 0), [["0", "0"], ["1", "2", "3"]]),
+    (("character", "coords", 0, 0), ["0", "1", "-2", "1/2", 3, "+4", "-6/4"]),
+    (("character", "coords", 1, 1), ["0", "2", "-7/3"]),
+    (("character", "smooth_tag"), ["t", ""]),
+    (("pi_tag",), ["pi", "x"]),
+    (("convention",), ["paper", "shifted"]),
+    (("command",), list(cli.COMMANDS)),
+    (("oracle",), [True, False]),
+    (("witness",), [True, False]),
+    (("unknown",), []),
+]
+_FUZZ_BAD = [
+    None, True, False, 0.5, 2.0, float("nan"), -1, 0, 3, 10**4400, -(10**4400), "9" * 4400,
+    "", "x", "1/0", "0/0", "1/-2", "\ud800", "A_0", "E_9", "A_2x", "D_2", "A_1\ud800",
+    [], {}, [[]], [1], [["0"], "0"], [[2, -1], [-1]], [[2, -1], [-1, 2, 0]],
+    [[2, -2], [-2, 2]], [[2, -1], [0, 2]], [[2, 1], [1, 2]], [[2, -1], [-1, True]],
+    [[2, -1], [-1, 2.0]], {"coords": [["0"]], "extra": 1},
+]
+
+
+def _slot(container, step):
+    """The key or index that ``step`` names in ``container``, or None."""
+    if isinstance(container, dict) and isinstance(step, str):
+        return step
+    if isinstance(container, list) and container and isinstance(step, int):
+        return step % len(container)
+    return None
+
+
+def _fuzz_job(rng):
+    doc = copy.deepcopy(rng.choice(_FUZZ_JOBS))
+    for path, good in rng.sample(_FUZZ_FIELDS, rng.randint(1, 3)):
+        parent = doc
+        for step in path[:-1]:
+            key = _slot(parent, step)
+            if isinstance(parent, dict):
+                parent = parent.get(key)
+            else:
+                parent = None if key is None else parent[key]
+        key = _slot(parent, path[-1])
+        if key is None:
+            continue
+        roll = rng.random()
+        if roll > 0.95 and isinstance(parent, dict):
+            parent.pop(key, None)
+        else:
+            value = rng.choice(good) if good and roll < 0.65 else rng.choice(_FUZZ_BAD)
+            parent[key] = copy.deepcopy(value)
+    return doc
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fuzzed_jobs_are_refused_on_a_field_or_run(seed, monkeypatch):
+    monkeypatch.setenv("LINKAGE_ORBIT_GUARD", "40")
+    rng = random.Random(seed)
+    ran = 0
+    for _ in range(800):
+        doc = _fuzz_job(rng)
+        try:
+            job = jobspec_from_dict(copy.deepcopy(doc))
+        except ValidationError as exc:
+            assert isinstance(exc.field, str) and exc.field and exc.message, doc
+            continue
+        assert jobspec_from_dict(copy.deepcopy(job)) == job, doc
+        try:
+            code, out = run(job)
+        except lk.OrbitGuardExceeded:
+            continue
+        ran += 1
+        assert code in (cli.EXIT_OK, cli.EXIT_GUARD, cli.EXIT_ORACLE_MISMATCH), doc
+        assert out["job"] == job
+        assert render_json(out) == json.dumps(out, indent=2, sort_keys=True)
+        cli.render_table(out)
+    assert ran >= 200  # a quarter of the documents reach run()

@@ -465,6 +465,10 @@ assert orbit == lk.dot_orbit(origin.algebraic)
 for chi in fresh.members:
     assert chi in result.members and chi in walked.members and chi.algebraic in orbit
     assert result.witness[chi] == walked.witness[chi] == fresh.witness[chi]
+# a search on the unpickled result's own context runs on its own table
+own = lk.strongly_linked_set(result.origin, "paper")
+assert own.origin.algebraic.context.base is not ctx.base
+assert own.members == fresh.members
 print("ok")
 """
 

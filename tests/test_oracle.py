@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -403,3 +404,7 @@ def test_oracle_never_reaches_the_search_kernel():
     assert not any(v is _kernel or v is linkage or v is linkage._embedding_closures for v in bound.values())
     # nor any name imported from the kernel, such as its search
     assert not any(getattr(v, "__module__", None) == _kernel.__name__ for v in bound.values())
+    # nor the kernel's reflection table on the root system: the oracle reads
+    # the root data (rs._nonzeros) only
+    source = inspect.getsource(oracle)
+    assert "_table" not in source and "ReflectionTable" not in source

@@ -114,7 +114,7 @@ TABLE_SYSTEMS = [
 def test_reflection_tables(spec):
     rs = lk.build_root_system(spec)
     coroots, heights = rs.coroot_coeffs, rs.coroot_heights
-    table = _kernel.reflection_table(rs)
+    table = rs._table
     nroots = len(heights)
     ctx = lk.EmbeddingContext(rs, 1, 0)
     rng = random.Random(str(spec))

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 import linkage_kit as lk
-from linkage_kit import _kernel
 from util import context, root_system, simple_perms, weight
 
 # Closed-form positive-root counts, written out independently of the library:
@@ -274,7 +273,7 @@ def dense_root_data(a):
 
 
 def dense_table(coroots, fund):
-    """(sums, position, picks as index tuples) of _kernel's reflection table,
+    """(sums, position, picks as index tuples) of the reflection table,
     every candidate coroot built over all coordinates."""
     nroots, rank = len(coroots), len(coroots[0])
     order = sorted(range(nroots), key=lambda b: sum(coroots[b]))
@@ -310,7 +309,7 @@ def test_sparse_root_data_matches_dense(name):
     assert list(rs.coroot_heights) == heights
     assert rs.num_positive == lk.positive_root_count(name)
 
-    table = _kernel.reflection_table(rs)
+    table = rs._table
     sums, position, picks = dense_table(coroots, fund)
     assert table.sums == sums
     assert table.position == position
@@ -320,9 +319,31 @@ def test_sparse_root_data_matches_dense(name):
 
 def test_sparse_form_is_not_compared():
     rs = root_system("B_3")
-    assert "_nonzeros" not in repr(rs)
+    assert "_nonzeros" not in repr(rs) and "_table" not in repr(rs)
     direct = lk.RootSystem(
         rs.cartan, rs.positive_roots, rs.coroot_coeffs, rs.root_fund, rs.coroot_heights
     )
     assert direct == lk.build_root_system(rs.cartan)
     assert direct._nonzeros == rs._nonzeros  # derived from the dense rows on construction
+    # the table is derived too, with fresh picks: callables that compare and
+    # hash by identity, so the equality and hash above ignore it
+    assert direct._table is not rs._table
+    assert hash(direct) == hash(lk.build_root_system(rs.cartan))
+    assert (direct._table.sums, direct._table.position) == (rs._table.sums, rs._table.position)
+    E = list(range(2 * rs.num_positive))  # a pick applied to indices returns them
+    assert [pick(E) for pick in direct._table.picks] == [pick(E) for pick in rs._table.picks]
+
+
+def test_cached_name_builds_no_matrix(monkeypatch):
+    import linkage_kit.rootsys as rootsys
+
+    first = lk.build_root_system("A2")
+    assert lk.build_root_system("A_2") is first  # one object, so one table
+
+    def no_matrix(*args):
+        raise AssertionError("a Cartan matrix was built")
+
+    monkeypatch.setattr(rootsys, "_block_diagonal", no_matrix)
+    monkeypatch.setattr(rootsys, "_validate_cartan_shape", no_matrix)
+    assert lk.build_root_system("A2") is first
+    assert lk.build_root_system("A_2") is first

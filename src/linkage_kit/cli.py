@@ -9,9 +9,11 @@ again returns it unchanged.  Output is a deterministic JSON document on
 stdout, byte for byte
 ``json.dumps(document, indent=2, sort_keys=True)`` (canonical "p/q"
 rationals, no timestamps), errors are structured JSON on stderr in the
-same form.  ``run`` builds each distinct row's coordinate list and each
-distinct witness step's document once per job and shares them across
-the document; ``render_json`` writes each shared row list once per depth.
+same form.  ``run`` lists a closure's or an orbit's members in sorted
+order by walking the product of its per-embedding rows, each factor
+sorted once; it builds each row's coordinate list and each witness
+step's document once per job and shares them across the document, and
+``render_json`` writes each shared row list once per depth.
 Exit codes: 0 success, 2 validation error, 3 guard exhaustion,
 4 oracle disagreement, 141 stdout closed before the document was written
 (``| head``; nothing more is printed); an internal fault (an error no
@@ -21,6 +23,7 @@ input can cause) ends the process with a traceback, status 1.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -32,7 +35,9 @@ from .errors import InvalidCartan, LinkageKitError, OrbitGuardExceeded
 from .linkage import (
     DEFAULT_ORBIT_GUARD,
     LinkageResult,
-    dot_orbit,
+    _embedding_closures,
+    _in_row_order,
+    _own_chains,
     noncritical_obstruction_set,
     strongly_linked_set,
     verma_factor_candidates,
@@ -49,7 +54,6 @@ from .weights_chars import (
     global_pairing,
     is_alpha_dominant,
     is_alpha_integral,
-    weight_sort_key,
 )
 
 SCHEMA = "linkage-kit/1"
@@ -262,10 +266,11 @@ def _normalize_job(job: dict):
 
 
 def _coords_doc(weight: WeightL, formatted: dict) -> list[list[str]]:
-    """The weight's rows as lists of "p/q" strings.  ``formatted`` maps
-    id(obj) to (obj, its document) for the rows and witness steps met so
-    far in one ``run()`` call, so each distinct row is formatted once and
-    its list shared; holding the object keeps its id from being reused
+    """The weight's rows as lists of "p/q" strings, for the obstruction
+    list, which ``noncritical_obstruction_set`` returns as characters.
+    ``formatted`` maps id(row) to (row, its list) for the rows met so far
+    in one ``run()`` call, so each distinct row object is formatted once
+    and its list shared; holding the row keeps its id from being reused
     while the map lives."""
     out = []
     for row in weight.components:
@@ -276,30 +281,81 @@ def _coords_doc(weight: WeightL, formatted: dict) -> list[list[str]]:
     return out
 
 
-def _witness_doc(chain, formatted: dict) -> list[dict]:
-    """The chain's steps as documents, one per distinct step object (chains
-    with a common prefix share their steps), shared through ``formatted``
-    as in ``_coords_doc``."""
+def _row_doc(row) -> list[str]:
+    return [format_rational(x) for x in row]
+
+
+def _witness_doc(chains, targets, row_doc, step_docs: dict) -> list[dict]:
+    """The steps of the chain to the member with row number targets[sigma]
+    in each embedding, as documents.  ``chains._walk`` names each step by
+    its product state; ``step_docs`` maps a state's number to its document,
+    built once per ``run()`` call and shared by every chain through that
+    state.  ``row_doc(sigma, n)`` is the list of row n of closure sigma."""
+    closures = chains._closures
     out = []
-    for step in chain.steps:
-        hit = formatted.get(id(step))
-        if hit is None:
-            r, chi = step
-            doc = {
-                "root": {"sigma": r.sigma, "root_index": r.root_index},
-                "to": _coords_doc(chi.algebraic, formatted),
+    for state, sigma, k in chains._walk(targets):
+        doc = step_docs.get(state)
+        if doc is None:
+            # embeddings before sigma are walked to their targets, those after
+            # are still at the origin's row, row 0
+            to = [row_doc(s, n if s < sigma else 0) for s, n in enumerate(targets)]
+            to[sigma] = row_doc(sigma, k)
+            doc = step_docs[state] = {
+                "root": {"sigma": sigma, "root_index": closures[sigma][2][k]},
+                "to": to,
             }
-            hit = formatted[id(step)] = (step, doc)
-        out.append(hit[1])
+        out.append(doc)
     return out
 
 
-def _members_doc(result: LinkageResult, with_witness: bool, formatted: dict) -> list[dict]:
+def _members_doc(result: LinkageResult, with_witness: bool) -> list[dict]:
+    """The members in ``sorted_members()`` order, each with its coordinate
+    rows, its smooth tag and, if asked, its witness chain.
+
+    A closure's members are the product of its per-embedding kept rows in
+    ``row_key`` order (``_WitnessChains._order``), so the listing walks
+    that product by row numbers: each row's list is formatted once, keyed
+    by (sigma, row number), and each witness step's document once, keyed
+    by its product state (``_witness_doc``).  A result whose members are
+    not its witness map's own lists ``sorted_members()`` and formats every
+    member and step on its own."""
+    chains = _own_chains(result)
+    if chains is None:
+        docs = []
+        for chi in result.sorted_members():
+            entry = {
+                "coords": [_row_doc(row) for row in chi.algebraic.components],
+                "smooth_tag": chi.smooth_tag,
+            }
+            if with_witness:
+                entry["witness"] = [
+                    {
+                        "root": {"sigma": r.sigma, "root_index": r.root_index},
+                        "to": [_row_doc(row) for row in step.algebraic.components],
+                    }
+                    for r, step in result.witness[chi].steps
+                ]
+            docs.append(entry)
+        return docs
+
+    closures = chains._closures
+    row_docs: dict[tuple[int, int], list[str]] = {}
+
+    def row_doc(sigma: int, n: int) -> list[str]:
+        doc = row_docs.get((sigma, n))
+        if doc is None:
+            doc = row_docs[sigma, n] = _row_doc(closures[sigma][0][n])
+        return doc
+
+    order = chains._order()
+    factors = [[row_doc(sigma, n) for n in numbers] for sigma, numbers in enumerate(order)]
+    tag = result.origin.smooth_tag
+    step_docs: dict[int, dict] = {}
     docs = []
-    for chi in result.sorted_members():
-        entry = {"coords": _coords_doc(chi.algebraic, formatted), "smooth_tag": chi.smooth_tag}
+    for targets, coords in zip(itertools.product(*order), itertools.product(*factors)):
+        entry = {"coords": list(coords), "smooth_tag": tag}
         if with_witness:
-            entry["witness"] = _witness_doc(result.witness[chi], formatted)
+            entry["witness"] = _witness_doc(chains, targets, row_doc, step_docs)
         docs.append(entry)
     return docs
 
@@ -330,7 +386,6 @@ def run(job: dict) -> tuple[int, dict]:
     ctx, chi, parabolic = _normalize_job(job)
     command = job["command"]
     convention = job["convention"]
-    formatted: dict = {}  # the rows and steps formatted so far in this call; see _coords_doc
 
     oracle_doc: dict = {"checked": False, "agrees": None, "count": None}
     result_doc: dict
@@ -341,7 +396,7 @@ def run(job: dict) -> tuple[int, dict]:
         else:  # linkset, or factors: at the Borel the factors are the closure
             result = strongly_linked_set(chi, convention, guard=guard)
         result_doc = {
-            "members": _members_doc(result, job["witness"], formatted),
+            "members": _members_doc(result, job["witness"]),
             "count": len(result),
         }
         if command == "candidates":
@@ -351,6 +406,7 @@ def run(job: dict) -> tuple[int, dict]:
         obstructions = noncritical_obstruction_set(
             chi, parabolic, job["pi_tag"], convention, guard=guard
         )
+        formatted: dict = {}  # the rows formatted so far; see _coords_doc
         result_doc = {
             "obstructions": [
                 {
@@ -384,11 +440,14 @@ def run(job: dict) -> tuple[int, dict]:
             "in_lambda_p_plus": in_lambda_p_plus(chi.algebraic, parabolic),
         }
     else:  # orbit
-        orbit = sorted(dot_orbit(chi.algebraic, guard=guard), key=weight_sort_key)
-        result_doc = {
-            "members": [{"coords": _coords_doc(w, formatted)} for w in orbit],
-            "count": len(orbit),
-        }
+        # the dot orbit's members, listed as _members_doc lists a closure's
+        closures = _embedding_closures(chi.algebraic, None, guard)
+        factors = [
+            [_row_doc(rows[n]) for n in _in_row_order(rows, range(len(rows)))]
+            for rows, _, _ in closures
+        ]
+        orbit = [{"coords": list(coords)} for coords in itertools.product(*factors)]
+        result_doc = {"members": orbit, "count": len(orbit)}
 
     exit_code = EXIT_OK
     if job["oracle"]:  # set only on the closure commands

@@ -17,7 +17,7 @@ the orbit gates the same per-embedding search gives the dot orbit.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from . import _kernel
@@ -81,7 +81,26 @@ class LinkageResult:
         return bool(self.parabolic)
 
     def sorted_members(self) -> list[LocAnChar]:
-        return sorted(self.members, key=char_sort_key)
+        """The members in ``char_sort_key`` order.
+
+        Every row of a context has the same length and the smooth tag is
+        shared, so that order is the product order of the per-embedding
+        kept rows, each sorted by ``row_key``; a closure result walks that
+        product, sorting each embedding's rows once, and sorts no members.
+        A result whose members are not its witness map's own (built by
+        hand, or by ``dataclasses.replace``) sorts its members instead."""
+        chains = _own_chains(self)
+        if chains is None:
+            return sorted(self.members, key=char_sort_key)
+        ctx = self.origin.algebraic.context
+        tag = self.origin.smooth_tag
+        factors = [
+            [rows[n] for n in order]
+            for (rows, _, _), order in zip(chains._closures, chains._order())
+        ]
+        return [
+            LocAnChar(_weight_unchecked(ctx, rows), tag) for rows in itertools.product(*factors)
+        ]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -110,25 +129,36 @@ class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
     """Read-only map from each member of a product closure to its witness
     chain, built on lookup from the per-embedding BFS trees.
 
+    A member is one kept row number per embedding: ``_kept[sigma]`` holds
+    the numbers of the rows of closure sigma that passed the parabolic
+    filter (every row without one).  ``_order()`` sorts them by
+    ``row_key`` on first use, and the product of those lists lists the
+    members in ``char_sort_key`` order (``LinkageResult.sorted_members``
+    and the CLI read it).
+
     A chain walks embedding 0 down its tree with the other embeddings at
     their origin values, then embedding 1, and so on.  Each step ends at a
     product state, one row number per embedding in the full closures
-    (rows a parabolic filter dropped included), and the map keeps the
+    (rows a parabolic filter dropped included), numbered in mixed radix.
+    ``_walk`` is that walk, step by step; the map keeps the
     ``(GlobalRoot, LocAnChar)`` step it builds for each state, keyed by the
-    state's mixed-radix number.  So chains with a common prefix share
-    their step objects, and the map holds at most one step per product
-    state walked, for as long as the result holds the map.  Looking up a
-    character outside ``members`` raises KeyError."""
+    state's number.  So chains with a common prefix share their step
+    objects, and the map holds at most one step per product state walked,
+    for as long as the result holds the map.  Looking up a character
+    outside ``members`` raises KeyError."""
 
     def __init__(
         self,
         origin: LocAnChar,
         members: frozenset[LocAnChar],
         closures: list[_EmbeddingClosure],
+        kept: list[Sequence[int]],
     ):
         self._origin = origin
         self._members = members
         self._closures = closures
+        self._kept = kept
+        self._sorted: list[list[int]] | None = None
         self._index: list[dict[tuple, int]] | None = None
         self._steps: dict[int, tuple[GlobalRoot, LocAnChar]] = {}
 
@@ -141,6 +171,31 @@ class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
     def __contains__(self, chi: object) -> bool:
         return chi in self._members
 
+    def _order(self) -> list[list[int]]:
+        """Each embedding's kept row numbers in ``row_key`` order of their
+        rows, sorted on the first call."""
+        if self._sorted is None:
+            self._sorted = [
+                _in_row_order(rows, kept) for (rows, _, _), kept in zip(self._closures, self._kept)
+            ]
+        return self._sorted
+
+    def _walk(self, targets: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+        """The chain to the product state with row number targets[sigma] in
+        each embedding sigma: per step, the number of the state it ends at,
+        its embedding and its row number there."""
+        base, stride = 0, 1  # the state walked so far; the place value of embedding sigma
+        for sigma, ((rows, parent_state, _), target) in enumerate(zip(self._closures, targets)):
+            path = []
+            k = target
+            while k:
+                path.append(k)
+                k = parent_state[k]
+            for k in reversed(path):
+                yield base + k * stride, sigma, k
+            base += target * stride
+            stride *= len(rows)
+
     def __getitem__(self, chi: LocAnChar) -> LinkageChain:
         if chi not in self._members:
             raise KeyError(chi)
@@ -148,32 +203,41 @@ class _WitnessChains(Mapping[LocAnChar, LinkageChain]):
             self._index = [
                 {row_key(row): n for n, row in enumerate(rows)} for rows, _, _ in self._closures
             ]
+        targets = [
+            index[row_key(row)] for index, row in zip(self._index, chi.algebraic.components)
+        ]
         origin = self._origin
         ctx = origin.algebraic.context
         memo = self._steps
         current = list(origin.algebraic.components)
         steps = []
-        base, stride = 0, 1  # the state walked so far; the place value of embedding sigma
-        for sigma, (rows, parent_state, parent_root) in enumerate(self._closures):
-            target = self._index[sigma][row_key(chi.algebraic.components[sigma])]
-            path = []
-            k = target
-            while k:
-                path.append(k)
-                k = parent_state[k]
-            for k in reversed(path):
-                current[sigma] = rows[k]
-                state = base + k * stride
-                step = memo.get(state)
-                if step is None:
-                    step = memo[state] = (
-                        GlobalRoot(sigma, parent_root[k]),
-                        LocAnChar(_weight_unchecked(ctx, tuple(current)), origin.smooth_tag),
-                    )
-                steps.append(step)
-            base += target * stride
-            stride *= len(rows)
+        for state, sigma, k in self._walk(targets):
+            rows, _, parent_root = self._closures[sigma]
+            current[sigma] = rows[k]
+            step = memo.get(state)
+            if step is None:
+                step = memo[state] = (
+                    GlobalRoot(sigma, parent_root[k]),
+                    LocAnChar(_weight_unchecked(ctx, tuple(current)), origin.smooth_tag),
+                )
+            steps.append(step)
         return LinkageChain(tuple(steps))
+
+
+def _own_chains(result: LinkageResult) -> _WitnessChains | None:
+    """The result's witness map when it is a closure's own, holding the
+    per-embedding rows its members are the product of; else None."""
+    chains = result.witness
+    if isinstance(chains, _WitnessChains) and chains._members is result.members:
+        return chains
+    return None
+
+
+def _in_row_order(rows: list[tuple], numbers: Iterable[int]) -> list[int]:
+    """The row numbers ``numbers`` sorted by ``row_key`` of their rows.
+    All rows of a context have one length, so the product of such lists,
+    one per embedding, runs in ``weight_sort_key`` order."""
+    return sorted(numbers, key=lambda n: row_key(rows[n]))
 
 
 def _embedding_closures(
@@ -238,11 +302,16 @@ def _product_closure(
     check_convention(convention)
     ctx = chi.algebraic.context
     closures = _embedding_closures(chi.algebraic, convention, guard)
-    kept = [
-        [row for row in rows if row_in_lambda_p_plus(row, indices)] if indices else rows
-        for rows, _, _ in closures
-    ]
-    combos = itertools.product(*kept)
+    if indices:
+        kept = [
+            [n for n, row in enumerate(rows) if row_in_lambda_p_plus(row, indices)]
+            for rows, _, _ in closures
+        ]
+        factors = [[rows[n] for n in numbers] for (rows, _, _), numbers in zip(closures, kept)]
+    else:
+        kept = [range(len(rows)) for rows, _, _ in closures]
+        factors = [rows for rows, _, _ in closures]
+    combos = itertools.product(*factors)
     next(combos)  # the origin's rows: keep the caller's object instead
     tag = chi.smooth_tag
     members = frozenset(
@@ -250,7 +319,7 @@ def _product_closure(
             (chi,), (LocAnChar(_weight_unchecked(ctx, rows), tag) for rows in combos)
         )
     )
-    return members, _WitnessChains(chi, members, closures)
+    return members, _WitnessChains(chi, members, closures, kept)
 
 
 def strongly_linked_set(

@@ -12,7 +12,8 @@ import linkage_kit as lk
 import linkage_kit.cli as cli
 from linkage_kit.cli import ValidationError, jobspec_from_dict, render_json, run
 from linkage_kit.rationals import format_rational
-from util import char, context
+from linkage_kit.weights_chars import weight_sort_key
+from util import char, context, weight
 
 
 def make_job(**overrides):
@@ -931,6 +932,77 @@ def test_run_keeps_no_state_between_calls(capsys):
         for m in result.sorted_members()
     ]
     assert json.loads(outputs[1])["result"]["members"] == expected
+
+
+def _as_doc(chi):
+    return [[format_rational(x) for x in row] for row in chi.algebraic.components]
+
+
+@pytest.mark.parametrize(
+    "name,embeddings,central,rows,parabolic",
+    [
+        ("A_2", 2, 0, [(1, 1), (2, 0)], []),
+        ("A_1", 3, 1, [(2, Fraction(1, 2)), (1, -1), (3, 3)], []),
+        # the candidates' chains pass through rows the filter dropped
+        ("A_2", 2, 0, [(2, 1), (1, 0)], [1]),
+    ],
+)
+@pytest.mark.parametrize("convention", ["paper", "shifted"])
+def test_witness_documents_are_the_library_chains(
+    name, embeddings, central, rows, parabolic, convention
+):
+    command = "candidates" if parabolic else "linkset"
+    job = make_job(
+        root_system=name, embeddings=embeddings, central=central, parabolic=parabolic,
+        character={"coords": [[format_rational(Fraction(x)) for x in row] for row in rows],
+                   "smooth_tag": "t"},
+        convention=convention, command=command, witness=True,
+    )
+    code, doc = run(job)
+    assert code == 0
+    ctx = context(name, embeddings, central)
+    chi = char(ctx, rows, "t")
+    if parabolic:
+        p = lk.ParabolicSubset(ctx, frozenset(i - 1 for i in parabolic))
+        result = lk.verma_factor_candidates(chi, p, convention)
+    else:
+        result = lk.strongly_linked_set(chi, convention)
+    expected = [
+        {
+            "coords": _as_doc(m),
+            "smooth_tag": "t",
+            "witness": [
+                {"root": {"sigma": r.sigma, "root_index": r.root_index}, "to": _as_doc(step)}
+                for r, step in result.witness[m].steps
+            ],
+        }
+        for m in result.sorted_members()
+    ]
+    members = doc["result"]["members"]
+    assert members == expected and len(members) > 1
+    # one document per product state walked, shared by every chain through it
+    steps = [step for m in members for step in m["witness"]]
+    assert len({id(step) for step in steps}) == len(result.witness._steps)
+    assert len({render_json(step) for step in steps}) == len(result.witness._steps)
+
+
+@pytest.mark.parametrize(
+    "name,embeddings,central,rows",
+    [("D_5", 1, 0, [(0,) * 5]), ("B_2", 2, 1, [(0, 1, Fraction(-1, 3)), (2, -1, 4)])],
+)
+def test_orbit_lists_the_sorted_dot_orbit(name, embeddings, central, rows):
+    job = make_job(
+        root_system=name, embeddings=embeddings, central=central, command="orbit",
+        character={"coords": [[format_rational(Fraction(x)) for x in row] for row in rows]},
+    )
+    code, doc = run(job)
+    assert code == 0
+    orbit = lk.dot_orbit(weight(context(name, embeddings, central), rows))
+    listed = sorted(orbit, key=weight_sort_key)
+    assert doc["result"]["members"] == [
+        {"coords": [[format_rational(x) for x in row] for row in w.components]} for w in listed
+    ]
+    assert doc["result"]["count"] == len(orbit) > 1
 
 
 def test_parser_is_reused_without_state(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -419,6 +420,48 @@ def test_witness_steps_are_shared_and_independent_of_lookup_order():
     assert len(full.witness._steps) == len(full) - 1
 
 
+def _listing_cases(convention):
+    """Closure results whose listings the order tests compare with a sort."""
+    b2 = context("B_2", embeddings=2)
+    yield lk.strongly_linked_set(char(context("A_3", 3), [(0, 0, 0)] * 3), convention)
+    yield lk.strongly_linked_set(char(context("A_4", 2), [(0, 0, 0, 0)] * 2), convention)
+    yield lk.strongly_linked_set(
+        char(context("A_2", 2, central=1), [(1, 0, Fraction(1, 2)), (0, 2, -1)]), convention
+    )
+    yield lk.strongly_linked_set(char(context("G_2"), [(Fraction(1, 2), 3)]), convention)
+    yield lk.verma_factor_candidates(
+        char(b2, [(2, 1), (1, 3)]), lk.ParabolicSubset(b2, frozenset({0})), convention
+    )
+
+
+@pytest.mark.parametrize("convention", ["paper", "shifted"])
+def test_sorted_members_is_the_sorted_member_set(convention):
+    # the listing walks the product of the sorted factors; it must be
+    # exactly the members sorted by char_sort_key
+    for result in _listing_cases(convention):
+        listed = result.sorted_members()
+        assert len(listed) == len(result) > 1
+        assert listed == sorted(result.members, key=lk.linkage.char_sort_key)
+        assert result.sorted_members() == listed  # the factors' order is kept
+
+
+def test_results_not_built_by_a_closure_list_their_own_members():
+    ctx = context("A_2", embeddings=2)
+    chi = char(ctx, [(1, 1), (2, 0)], "t")
+    full = lk.strongly_linked_set(chi, "paper")
+    some = frozenset(sorted(full.members, key=lk.linkage.char_sort_key)[::3])
+    stranger = lk.LocAnChar(lk.WeightL(ctx, ((-9, 1), (0, 0))), "t")
+    for result in (
+        dataclasses.replace(full, members=some),
+        dataclasses.replace(full, members=some | {stranger}),
+        lk.LinkageResult(chi, some, {}, "paper"),
+    ):
+        assert result.sorted_members() == sorted(result.members, key=lk.linkage.char_sort_key)
+    # a replaced field other than the members keeps the product listing
+    relabelled = dataclasses.replace(full, parabolic=frozenset({0}))
+    assert relabelled.sorted_members() == full.sorted_members()
+
+
 def test_guard_across_embeddings():
     ctx = context("A_1", embeddings=3)
     chi = char(ctx, [(0,), (0,), (0,)])
@@ -447,20 +490,24 @@ result = lk.strongly_linked_set(chi, "paper")
 walked = lk.strongly_linked_set(chi, "paper")
 for m in walked.members:  # fills the chains' step memo before pickling
     walked.witness[m]
+listed = walked.sorted_members()  # and the factors' sorted order
 with open(sys.argv[1], "wb") as f:
-    pickle.dump((result, walked, lk.dot_orbit(chi.algebraic)), f)
+    pickle.dump((result, walked, listed, lk.dot_orbit(chi.algebraic)), f)
 """
 
 _PICKLE_READ = """
 import pickle, sys
 import linkage_kit as lk
 with open(sys.argv[1], "rb") as f:
-    result, walked, orbit = pickle.load(f)
+    result, walked, listed, orbit = pickle.load(f)
 ctx = lk.EmbeddingContext(lk.build_root_system("B_2"), 2, 1)
 origin = lk.LocAnChar(lk.WeightL(ctx, ((0, 0, -1), (0, 0, 2))), "t")
 fresh = lk.strongly_linked_set(origin, "paper")
 assert len(fresh) > 1
 assert result.members == walked.members == fresh.members
+# an order taken from set iteration would change with the hash seed
+assert walked.sorted_members() == listed == result.sorted_members() == fresh.sorted_members()
+assert listed == sorted(fresh.members, key=lk.linkage.char_sort_key)
 assert orbit == lk.dot_orbit(origin.algebraic)
 for chi in fresh.members:
     assert chi in result.members and chi in walked.members and chi.algebraic in orbit
